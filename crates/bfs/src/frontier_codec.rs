@@ -25,6 +25,10 @@
 //! BFS parent trees are bit-identical whichever codec runs (tested in
 //! `tests/properties.rs`).
 //!
+//! Decoding is total: payloads arrive from other ranks, so a truncated or
+//! forged one yields a [`CodecError`] rather than a panic, an overflow or
+//! an out-of-bounds read.
+//!
 //! [`Sieve`] implements the sender-side filter: a per-rank bitmap of
 //! every (global vertex, destination) already sent, so re-discovered
 //! vertices — which the owner would discard anyway — never reach the
@@ -33,6 +37,7 @@
 use dmbfs_comm::WireBuf;
 use dmbfs_graph::VertexId;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,19 +63,56 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint at `*pos`, advancing it.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
+/// Why a frontier payload failed to decode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CodecError {
+    /// The payload ended inside a field.
+    Truncated,
+    /// A varint ran past 10 bytes or past 64 bits.
+    VarintOverflow,
+    /// The wire tag names no encoding.
+    UnknownTag(u8),
+    /// The header's element count disagrees with the body.
+    CountMismatch,
+    /// A target lies outside the header's range, or targets are not
+    /// strictly increasing.
+    BadTarget,
+    /// Bytes remain after the last field.
+    TrailingBytes,
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Truncated => write!(f, "truncated payload"),
+            CodecError::VarintOverflow => write!(f, "varint overflows 64 bits"),
+            CodecError::UnknownTag(tag) => write!(f, "unknown wire tag {tag}"),
+            CodecError::CountMismatch => write!(f, "element count disagrees with the body"),
+            CodecError::BadTarget => write!(f, "target out of range or out of order"),
+            CodecError::TrailingBytes => write!(f, "trailing bytes after the payload"),
         }
-        shift += 7;
     }
+}
+
+impl std::error::Error for CodecError {}
+
+/// Reads a LEB128 varint at `*pos`, advancing it. At most 10 bytes, and
+/// the 10th may carry only bit 63.
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    for i in 0..10 {
+        let byte = *bytes.get(*pos).ok_or(CodecError::Truncated)?;
+        *pos += 1;
+        let bits = u64::from(byte & 0x7f);
+        if i == 9 && bits > 1 {
+            return Err(CodecError::VarintOverflow);
+        }
+        v |= bits << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(CodecError::VarintOverflow)
 }
 
 /// Encoded length of `v` as a varint.
@@ -122,6 +164,42 @@ fn push_header(out: &mut Vec<u8>, tag: u8, count: u64, range: &Range<u64>) {
     push_varint(out, range.end - range.start);
 }
 
+/// Appends the targets in the concrete encoding `tag`. Targets must be
+/// strictly increasing and inside `range`.
+fn push_targets(
+    out: &mut Vec<u8>,
+    tag: u8,
+    targets: impl Iterator<Item = VertexId>,
+    range: &Range<u64>,
+) {
+    match tag {
+        TAG_RAW => {
+            for t in targets {
+                out.extend_from_slice(&t.to_le_bytes());
+            }
+        }
+        TAG_VARINT => {
+            let mut prev = range.start;
+            for t in targets {
+                debug_assert!(range.contains(&t));
+                push_varint(out, t - prev);
+                prev = t;
+            }
+        }
+        TAG_BITMAP => {
+            let at = out.len();
+            out.resize(at + (range.end - range.start).div_ceil(8) as usize, 0);
+            let bits = &mut out[at..];
+            for t in targets {
+                debug_assert!(range.contains(&t));
+                let off = (t - range.start) as usize;
+                bits[off / 8] |= 1 << (off % 8);
+            }
+        }
+        _ => unreachable!(),
+    }
+}
+
 /// Encodes sorted-unique `(target, parent)` pairs destined for an owner
 /// whose vertices span `range`. Targets must be strictly increasing and
 /// inside `range`; parents are arbitrary vertex ids.
@@ -130,163 +208,167 @@ fn push_header(out: &mut Vec<u8>, tag: u8, count: u64, range: &Range<u64>) {
 /// pair — what the typed `alltoallv` of `(u64, u64)` would have sent).
 pub fn encode_pairs(pairs: &[(VertexId, VertexId)], range: Range<u64>, codec: Codec) -> WireBuf {
     debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "pairs sorted");
-    let logical = 16 * pairs.len() as u64;
-    let k = pairs.len() as u64;
-    let range_len = range.end - range.start;
-    let parent_bytes: u64 = pairs.iter().map(|&(_, p)| varint_len(p)).sum();
-    let tag = pick_tag(codec, k, range_len, parent_bytes);
+    encode_pair_stream(pairs.iter().copied(), range, codec)
+}
+
+/// [`encode_pairs`] over a stream instead of a slice, so a caller holding
+/// its pairs in another shape (the 1D exchange keeps them in a bitmap)
+/// need not materialize them. The stream is walked three times — size,
+/// targets, parents — so it must be cheap to clone.
+pub fn encode_pair_stream<I>(pairs: I, range: Range<u64>, codec: Codec) -> WireBuf
+where
+    I: Iterator<Item = (VertexId, VertexId)> + Clone,
+{
+    let (k, parent_bytes) = pairs
+        .clone()
+        .fold((0u64, 0u64), |(k, b), (_, p)| (k + 1, b + varint_len(p)));
+    let tag = pick_tag(codec, k, range.end - range.start, parent_bytes);
     let mut out = Vec::new();
     push_header(&mut out, tag, k, &range);
-    match tag {
-        TAG_RAW => {
-            for &(t, _) in pairs {
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-        }
-        TAG_VARINT => {
-            let mut prev = range.start;
-            for &(t, _) in pairs {
-                debug_assert!(range.contains(&t));
-                push_varint(&mut out, t - prev);
-                prev = t;
-            }
-        }
-        TAG_BITMAP => {
-            let mut bits = vec![0u8; range_len.div_ceil(8) as usize];
-            for &(t, _) in pairs {
-                debug_assert!(range.contains(&t));
-                let off = (t - range.start) as usize;
-                bits[off / 8] |= 1 << (off % 8);
-            }
-            out.extend_from_slice(&bits);
-        }
-        _ => unreachable!(),
-    }
+    push_targets(&mut out, tag, pairs.clone().map(|(t, _)| t), &range);
     // Parents ride along as varints in target order for every encoding
     // (the bitmap enumerates set bits ascending, matching the sort).
-    for &(_, p) in pairs {
+    for (_, p) in pairs {
         push_varint(&mut out, p);
     }
-    WireBuf::new(out, logical)
+    WireBuf::new(out, 16 * k)
 }
 
 /// Decodes a [`encode_pairs`] payload back to sorted `(target, parent)`
 /// pairs. Takes the raw wire bytes (`WireBuf::bytes()`) so receivers can
 /// decode straight from a loaned payload without owning it.
-pub fn decode_pairs(bytes: &[u8]) -> Vec<(VertexId, VertexId)> {
+pub fn decode_pairs(bytes: &[u8]) -> Result<Vec<(VertexId, VertexId)>, CodecError> {
     if bytes.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut pos = 0usize;
-    let tag = bytes[pos];
-    pos += 1;
-    let count = read_varint(bytes, &mut pos) as usize;
-    let base = read_varint(bytes, &mut pos);
-    let range_len = read_varint(bytes, &mut pos);
-    let targets = decode_targets(bytes, &mut pos, tag, count, base, range_len);
-    targets
+    // Every parent costs at least one more byte.
+    let targets = decode_targets(bytes, &mut pos, 1)?;
+    let pairs = targets
         .into_iter()
-        .map(|t| (t, read_varint(bytes, &mut pos)))
-        .collect()
+        .map(|t| Ok((t, read_varint(bytes, &mut pos)?)))
+        .collect::<Result<Vec<_>, CodecError>>()?;
+    finish(bytes, pos, pairs)
 }
 
 /// Encodes a sorted-unique vertex set spanning `range` (the 2D expand /
 /// transpose payloads). Logical size is 8 bytes per vertex.
 pub fn encode_set(vertices: &[VertexId], range: Range<u64>, codec: Codec) -> WireBuf {
     debug_assert!(vertices.windows(2).all(|w| w[0] < w[1]), "set sorted");
-    let logical = 8 * vertices.len() as u64;
     let k = vertices.len() as u64;
-    let range_len = range.end - range.start;
-    let tag = pick_tag(codec, k, range_len, 0);
+    let tag = pick_tag(codec, k, range.end - range.start, 0);
     let mut out = Vec::new();
     push_header(&mut out, tag, k, &range);
-    match tag {
-        TAG_RAW => {
-            for &v in vertices {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        TAG_VARINT => {
-            let mut prev = range.start;
-            for &v in vertices {
-                debug_assert!(range.contains(&v));
-                push_varint(&mut out, v - prev);
-                prev = v;
-            }
-        }
-        TAG_BITMAP => {
-            let mut bits = vec![0u8; range_len.div_ceil(8) as usize];
-            for &v in vertices {
-                debug_assert!(range.contains(&v));
-                let off = (v - range.start) as usize;
-                bits[off / 8] |= 1 << (off % 8);
-            }
-            out.extend_from_slice(&bits);
-        }
-        _ => unreachable!(),
-    }
-    WireBuf::new(out, logical)
+    push_targets(&mut out, tag, vertices.iter().copied(), &range);
+    WireBuf::new(out, 8 * k)
 }
 
 /// Decodes an [`encode_set`] payload back to the sorted vertex set. Takes
 /// the raw wire bytes (`WireBuf::bytes()`) so receivers can decode straight
 /// from a loaned payload without owning it.
-pub fn decode_set(bytes: &[u8]) -> Vec<VertexId> {
+pub fn decode_set(bytes: &[u8]) -> Result<Vec<VertexId>, CodecError> {
     if bytes.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut pos = 0usize;
-    let tag = bytes[pos];
-    pos += 1;
-    let count = read_varint(bytes, &mut pos) as usize;
-    let base = read_varint(bytes, &mut pos);
-    let range_len = read_varint(bytes, &mut pos);
-    decode_targets(bytes, &mut pos, tag, count, base, range_len)
+    let targets = decode_targets(bytes, &mut pos, 0)?;
+    finish(bytes, pos, targets)
 }
 
-/// Shared target decoder for the three concrete encodings.
+/// Accepts a decoded value only if it consumed the whole payload.
+fn finish<T>(bytes: &[u8], pos: usize, value: T) -> Result<T, CodecError> {
+    if pos == bytes.len() {
+        Ok(value)
+    } else {
+        Err(CodecError::TrailingBytes)
+    }
+}
+
+/// Shared header + target decoder for the three concrete encodings.
+/// `trailer` is the minimum number of bytes that follow each target
+/// (1 for a pair's parent varint), used to bound the header's count
+/// against the bytes actually present before anything is allocated.
 fn decode_targets(
     bytes: &[u8],
     pos: &mut usize,
-    tag: u8,
-    count: usize,
-    base: u64,
-    range_len: u64,
-) -> Vec<VertexId> {
-    let mut targets = Vec::with_capacity(count);
+    trailer: u64,
+) -> Result<Vec<VertexId>, CodecError> {
+    let tag = bytes[*pos];
+    *pos += 1;
+    let count = read_varint(bytes, pos)?;
+    let base = read_varint(bytes, pos)?;
+    let range_len = read_varint(bytes, pos)?;
+    let end = base.checked_add(range_len).ok_or(CodecError::BadTarget)?;
+    let remaining = (bytes.len() - *pos) as u64;
+    // Least body size: 8 bytes per raw target, 1 per varint gap, the
+    // whole bitmap.
+    let body = match tag {
+        TAG_RAW => count.checked_mul(8).ok_or(CodecError::Truncated)?,
+        TAG_VARINT => count,
+        TAG_BITMAP => range_len.div_ceil(8),
+        other => return Err(CodecError::UnknownTag(other)),
+    };
+    let needed = count
+        .checked_mul(trailer)
+        .and_then(|t| t.checked_add(body))
+        .ok_or(CodecError::Truncated)?;
+    if count > range_len {
+        return Err(CodecError::CountMismatch);
+    }
+    if needed > remaining {
+        return Err(CodecError::Truncated);
+    }
+    let mut targets = Vec::with_capacity(count as usize);
+    // Strictly increasing and inside [base, end), else `BadTarget`.
+    let push = |t: u64, targets: &mut Vec<VertexId>| {
+        let ordered = targets.last().is_none_or(|&prev| prev < t);
+        if t < base || t >= end || !ordered {
+            return Err(CodecError::BadTarget);
+        }
+        targets.push(t);
+        Ok(())
+    };
     match tag {
         TAG_RAW => {
-            for _ in 0..count {
-                let mut le = [0u8; 8];
-                le.copy_from_slice(&bytes[*pos..*pos + 8]);
-                *pos += 8;
-                targets.push(u64::from_le_bytes(le));
+            for chunk in bytes[*pos..*pos + 8 * count as usize].chunks_exact(8) {
+                push(
+                    u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
+                    &mut targets,
+                )?;
             }
+            *pos += 8 * count as usize;
         }
         TAG_VARINT => {
             let mut prev = base;
             for _ in 0..count {
-                prev += read_varint(bytes, pos);
-                targets.push(prev);
+                prev = prev
+                    .checked_add(read_varint(bytes, pos)?)
+                    .ok_or(CodecError::BadTarget)?;
+                push(prev, &mut targets)?;
             }
         }
-        TAG_BITMAP => {
-            let nbytes = range_len.div_ceil(8) as usize;
-            let bits = &bytes[*pos..*pos + nbytes];
-            *pos += nbytes;
+        _ => {
+            let bits = &bytes[*pos..*pos + body as usize];
+            *pos += body as usize;
+            let set: u64 = bits.iter().map(|b| u64::from(b.count_ones())).sum();
+            if set != count {
+                return Err(CodecError::CountMismatch);
+            }
             for (i, &byte) in bits.iter().enumerate() {
                 let mut b = byte;
                 while b != 0 {
-                    let bit = b.trailing_zeros() as u64;
-                    targets.push(base + 8 * i as u64 + bit);
+                    // Padding bits past the range would land beyond `end`.
+                    let off = 8 * i as u64 + u64::from(b.trailing_zeros());
+                    if off >= range_len {
+                        return Err(CodecError::BadTarget);
+                    }
+                    push(base + off, &mut targets)?;
                     b &= b - 1;
                 }
             }
-            debug_assert_eq!(targets.len(), count);
         }
-        other => panic!("corrupt frontier payload: unknown wire tag {other}"),
     }
-    targets
+    Ok(targets)
 }
 
 /// Sender-side duplicate filter: one bit per (vertex, destination) this
@@ -338,24 +420,30 @@ impl Sieve {
         seen
     }
 
-    /// Reads slot `i` without marking it. The overlap pipeline filters
+    /// Word-wide [`Sieve::test_and_set`]: marks every slot of word `w`
+    /// (slots `64w..64w + 64`) whose bit is set in `bits`, and returns the
+    /// subset that was already marked — each one counted as a hit.
+    pub fn test_and_set_word(&self, w: usize, bits: u64) -> u64 {
+        let seen = self.bits[w].fetch_or(bits, Ordering::Relaxed) & bits;
+        if seen != 0 {
+            self.hits
+                .fetch_add(u64::from(seen.count_ones()), Ordering::Relaxed);
+        }
+        seen
+    }
+
+    /// Reads word `w` without marking it. The overlap pipeline filters
     /// each chunk against the sieve read-only while an exchange is in
-    /// flight and defers the marking ([`Sieve::set`]) to the end of the
-    /// level, so chunking cannot change which duplicates are dropped.
-    pub fn contains(&self, i: usize) -> bool {
-        self.bits[i / 64].load(Ordering::Relaxed) & (1u64 << (i % 64)) != 0
+    /// flight and defers the marking ([`Sieve::test_and_set_word`]) to the
+    /// end of the level, so chunking cannot change which duplicates are
+    /// dropped.
+    pub fn word(&self, w: usize) -> u64 {
+        self.bits[w].load(Ordering::Relaxed)
     }
 
-    /// Marks slot `i` unconditionally (counting a hit when already set,
-    /// like [`Sieve::test_and_set`]) — the deferred-marking half of the
-    /// [`Sieve::contains`] protocol.
-    pub fn set(&self, i: usize) {
-        let _ = self.test_and_set(i);
-    }
-
-    /// Counts `n` duplicates dropped outside [`Sieve::test_and_set`] — the
-    /// overlap pipeline's read-only [`Sieve::contains`] filter reports its
-    /// drops here so `sieve_hits` telemetry matches the sequential path.
+    /// Counts `n` duplicates dropped without marking — the overlap
+    /// pipeline's read-only [`Sieve::word`] filter reports its drops here
+    /// so `sieve_hits` telemetry matches the blocking path.
     pub fn count_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
@@ -452,7 +540,7 @@ mod tests {
             Codec::Adaptive,
         ] {
             let buf = encode_pairs(&p, 100..256, codec);
-            assert_eq!(decode_pairs(buf.bytes()), p, "codec {codec:?}");
+            assert_eq!(decode_pairs(buf.bytes()).unwrap(), p, "codec {codec:?}");
         }
     }
 
@@ -466,7 +554,7 @@ mod tests {
             Codec::Adaptive,
         ] {
             let buf = encode_set(&s, 8..128, codec);
-            assert_eq!(decode_set(buf.bytes()), s, "codec {codec:?}");
+            assert_eq!(decode_set(buf.bytes()).unwrap(), s, "codec {codec:?}");
         }
     }
 
@@ -480,9 +568,9 @@ mod tests {
         ] {
             let buf = encode_pairs(&[], 0..1024, codec);
             assert_eq!(buf.logical_bytes, 0);
-            assert!(decode_pairs(buf.bytes()).is_empty());
+            assert!(decode_pairs(buf.bytes()).unwrap().is_empty());
             let buf = encode_set(&[], 0..1024, codec);
-            assert!(decode_set(buf.bytes()).is_empty());
+            assert!(decode_set(buf.bytes()).unwrap().is_empty());
         }
     }
 
@@ -538,17 +626,32 @@ mod tests {
     }
 
     #[test]
-    fn sieve_contains_reads_without_marking() {
-        let s = Sieve::new(128);
-        assert!(!s.contains(64));
-        assert!(!s.contains(64), "contains never marks");
-        s.set(64);
-        assert!(s.contains(64));
-        assert_eq!(s.hits(), 0, "first set of a clear slot is not a hit");
-        s.set(64);
-        assert_eq!(s.hits(), 1, "re-setting counts like test_and_set");
-        s.count_hits(3);
-        assert_eq!(s.hits(), 4);
+    fn sieve_word_ops_match_per_slot_ops() {
+        // Word-level marking reports (and counts) exactly the slots the
+        // per-slot calls would have reported as duplicates.
+        let words = Sieve::new(192);
+        let slots = Sieve::new(192);
+        for (w, bits) in [
+            (1usize, 0b1011u64),
+            (1, 0b0110),
+            (2, u64::MAX),
+            (2, 1 << 63),
+        ] {
+            let seen = words.test_and_set_word(w, bits);
+            let mut expected = 0u64;
+            for b in 0..64 {
+                if bits >> b & 1 == 1 && slots.test_and_set(64 * w + b) {
+                    expected |= 1 << b;
+                }
+            }
+            assert_eq!(seen, expected, "word {w}, bits {bits:#b}");
+        }
+        assert_eq!(words.hits(), slots.hits());
+        assert_eq!(words.hits(), 2);
+        assert_eq!(words.word(1), 0b1111, "word reads without marking");
+        assert_eq!(words.word(0), 0);
+        words.count_hits(3);
+        assert_eq!(words.hits(), 5);
     }
 
     #[test]
@@ -613,13 +716,70 @@ mod tests {
     }
 
     #[test]
+    fn varints_are_bounded_at_ten_bytes() {
+        let mut pos = 0;
+        assert_eq!(
+            read_varint(&[0xff; 11], &mut pos),
+            Err(CodecError::VarintOverflow)
+        );
+        // Ten bytes whose last carries more than bit 63.
+        let mut over = vec![0x80u8; 9];
+        over.push(0x02);
+        let mut pos = 0;
+        assert_eq!(
+            read_varint(&over, &mut pos),
+            Err(CodecError::VarintOverflow)
+        );
+        let mut pos = 0;
+        assert_eq!(
+            read_varint(&[0x80, 0x80], &mut pos),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn hostile_payloads_are_errors() {
+        let good = encode_pairs(&pairs(&[(3, 1), (9, 2)]), 0..64, Codec::VarintDelta);
+        let bytes = good.bytes();
+        // Every proper prefix is truncated somewhere.
+        for cut in 1..bytes.len() {
+            assert!(decode_pairs(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(decode_pairs(&long), Err(CodecError::TrailingBytes));
+        assert_eq!(decode_set(&[9, 0, 0, 0]), Err(CodecError::UnknownTag(9)));
+        // A forged count far beyond the body must not reserve memory.
+        let mut forged = vec![TAG_RAW];
+        push_varint(&mut forged, 1 << 40);
+        push_varint(&mut forged, 0);
+        push_varint(&mut forged, u64::MAX);
+        assert_eq!(decode_set(&forged), Err(CodecError::Truncated));
+        // A bitmap whose popcount disagrees with its count.
+        let mut bitmap = vec![TAG_BITMAP];
+        push_varint(&mut bitmap, 2);
+        push_varint(&mut bitmap, 0);
+        push_varint(&mut bitmap, 8);
+        bitmap.push(0b1);
+        assert_eq!(decode_set(&bitmap), Err(CodecError::CountMismatch));
+        // A raw target outside its header range, and out of order.
+        let raw = encode_set(&[5, 6], 0..8, Codec::Raw);
+        let mut bad = raw.bytes().to_vec();
+        bad[4] = 9;
+        assert_eq!(decode_set(&bad), Err(CodecError::BadTarget));
+        bad[4] = 7;
+        bad[12] = 2;
+        assert_eq!(decode_set(&bad), Err(CodecError::BadTarget));
+    }
+
+    #[test]
     fn varint_len_matches_encoding() {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
             assert_eq!(buf.len() as u64, varint_len(v), "v = {v}");
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
+            assert_eq!(read_varint(&buf, &mut pos), Ok(v));
         }
     }
 }

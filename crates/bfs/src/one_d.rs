@@ -12,8 +12,8 @@
 use crate::direction::DirectionConfig;
 use crate::distribute::{extract_1d, Local1d};
 use crate::frontier_codec::{
-    decode_pairs, decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
-    Sieve,
+    decode_pairs, decode_set, encode_pair_stream, encode_set, merge_level_stats, Codec,
+    LevelCodecStats, Sieve,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming, WireBuf};
@@ -22,7 +22,8 @@ use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode};
 use dmbfs_trace::{RankTrace, SpanKind};
 use rayon::prelude::*;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Configuration of a 1D run — since the runtime refactor this *is* the
@@ -157,10 +158,10 @@ fn rank_bfs(
         frontier.push(source);
     }
 
-    // One bit per global vertex: a vertex's owner is fixed, so this also
-    // keys (vertex, destination) pairs. Only allocated when sieving.
-    let visited_sieve =
-        (sieve && codec != Codec::Off).then(|| Sieve::new(local.block.domain() as usize));
+    // The codec exchange's per-search state; `Codec::Off` exchanges the
+    // packed pair buffers as they are.
+    let scratch =
+        (codec != Codec::Off).then(|| ExchangeScratch::new(local, sieve, overlap.is_some()));
     let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
 
     if direction != DirectionMode::TopDown {
@@ -170,7 +171,7 @@ fn rank_bfs(
             frontier,
             pool,
             codec,
-            visited_sieve.as_ref(),
+            scratch.as_ref(),
             overlap,
             direction,
             &levels,
@@ -195,7 +196,7 @@ fn rank_bfs(
             local,
             &frontier,
             codec,
-            visited_sieve.as_ref(),
+            scratch.as_ref(),
             overlap,
             level,
             pool,
@@ -234,13 +235,19 @@ fn rank_bfs(
 /// One top-down level: pack the frontier's adjacencies by owner, exchange
 /// (blocking or through the overlap pipeline), and let owners claim the
 /// newly visited vertices. Returns the local slice of the next frontier.
+///
+/// With a codec on (`scratch` present) the pack already claims the
+/// targets this rank owns and deduplicates the rest into `scratch`, so
+/// only remote targets are encoded and the rank's own bucket travels
+/// empty; `Codec::Off` keeps the paper's plain typed exchange of every
+/// packed pair.
 #[allow(clippy::too_many_arguments)]
 fn top_down_level(
     comm: &Comm,
     local: &Local1d,
     frontier: &[VertexId],
     codec: Codec,
-    visited_sieve: Option<&Sieve>,
+    scratch: Option<&ExchangeScratch>,
     overlap: Option<NonZeroUsize>,
     level: i64,
     pool: Option<&rayon::ThreadPool>,
@@ -248,33 +255,15 @@ fn top_down_level(
     parents: &[AtomicI64],
     codec_levels: &mut Vec<LevelCodecStats>,
 ) -> Vec<VertexId> {
-    let p = comm.size();
-    match overlap.filter(|_| codec != Codec::Off) {
-        // The chunked double-buffered pipeline: pack + sieve + encode
-        // chunk c+1 while chunk c is in flight on the nonblocking
-        // exchange, decoding/unpacking completed chunks as they land.
-        // `Codec::Off` has no wire buffers to pipeline, so it always
-        // takes the blocking path below.
-        Some(k) => {
-            let (next, stats) = overlapped_level(
-                comm,
-                local,
-                frontier,
-                codec,
-                visited_sieve,
-                level,
-                pool,
-                k.get(),
-                levels,
-                parents,
-            );
-            codec_levels.push(stats);
-            next
-        }
-        None => {
+    // `scratch` exists iff the run's codec is on, so the arm taken is
+    // rank-invariant configuration.
+    // schedule: replicated
+    match (scratch, overlap) {
+        (None, _) => {
             // Lines 13–19: enumerate adjacencies into per-destination
             // buffers.
             let pack_t = comm.trace_start();
+            let p = comm.size();
             let send = match pool {
                 Some(pool) => {
                     let batch_t = comm.trace_start();
@@ -285,33 +274,42 @@ fn top_down_level(
                 None => pack_serial(local, frontier, p),
             };
             comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-            // Line 21: the all-to-all exchange of (target, parent)
-            // pairs — either the plain typed collective or the codec
-            // pipeline (dedup → sieve → encode → exchange → decode).
+            // Line 21: the all-to-all exchange of (target, parent) pairs.
             let exchange_t = comm.trace_start();
-            let recv = if codec == Codec::Off {
-                comm.alltoallv(send)
-            } else {
-                let (bufs, stats) =
-                    encode_exchange(comm, local, send, codec, visited_sieve, level, pool);
-                codec_levels.push(stats);
-                bufs
-            };
+            let recv = comm.alltoallv(send);
             let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
             comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            // Lines 23–28: owners claim newly visited vertices.
-            let unpack_t = comm.trace_start();
-            let next = match pool {
-                Some(pool) => {
-                    let batch_t = comm.trace_start();
-                    let next =
-                        pool.install(|| unpack_parallel(local, &recv, levels, parents, level));
-                    comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-                    next
-                }
-                None => unpack_serial(local, &recv, levels, parents, level),
-            };
-            comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
+            unpack(comm, local, &recv, pool, levels, parents, level)
+        }
+        // The chunked double-buffered pipeline: pack + sieve + encode
+        // chunk c+1 while chunk c is in flight on the nonblocking
+        // exchange, decoding/unpacking completed chunks as they land.
+        (Some(scratch), Some(k)) => {
+            let (next, stats) = overlapped_level(
+                comm,
+                local,
+                frontier,
+                codec,
+                scratch,
+                level,
+                pool,
+                k.get(),
+                levels,
+                parents,
+            );
+            codec_levels.push(stats);
+            next
+        }
+        (Some(scratch), None) => {
+            let mut next = pack_claim(comm, local, frontier, scratch, pool, levels, parents, level);
+            // Line 21 through the codec pipeline: sieve → encode →
+            // exchange → decode.
+            let exchange_t = comm.trace_start();
+            let (recv, stats) = encode_exchange(comm, local, scratch, codec, level, pool);
+            codec_levels.push(stats);
+            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+            comm.trace_span(SpanKind::Exchange, exchange_t, received);
+            next.extend(unpack(comm, local, &recv, pool, levels, parents, level));
             next
         }
     }
@@ -338,7 +336,7 @@ fn hybrid_loop(
     mut frontier: Vec<VertexId>,
     pool: Option<&rayon::ThreadPool>,
     codec: Codec,
-    visited_sieve: Option<&Sieve>,
+    scratch: Option<&ExchangeScratch>,
     overlap: Option<NonZeroUsize>,
     direction: DirectionMode,
     levels: &[AtomicI64],
@@ -427,7 +425,7 @@ fn hybrid_loop(
                 local,
                 &frontier,
                 codec,
-                visited_sieve,
+                scratch,
                 overlap,
                 level,
                 pool,
@@ -507,7 +505,7 @@ fn bottom_up_level(
     let mut bits = vec![0u64; domain.div_ceil(64)];
     let mut global_frontier = 0u64;
     for buf in &slices {
-        for v in decode_set(buf.bytes()) {
+        for v in decode_set(buf.bytes()).expect("corrupt frontier payload") {
             bits[(v / 64) as usize] |= 1 << (v % 64);
             global_frontier += 1;
         }
@@ -573,230 +571,342 @@ fn bottom_up_level(
     (next, examined)
 }
 
-/// The codec pipeline around the all-to-all: per destination, sort the
-/// pairs and collapse duplicate targets to their maximum parent (the
-/// canonical tie-break, see [`unpack_serial`]), drop already-sent vertices
-/// through the sieve, encode, exchange as wire bytes, decode.
+/// Per-search state of the codec exchange, allocated once in `rank_bfs`
+/// next to `levels`/`parents`: the cross-level [`Sieve`] and the
+/// deduplication bitmap of remote targets.
 ///
-/// Under a hybrid pool the per-destination encode work (sort, dedup,
-/// sieve, encode) and the receive-side decode both fan out across pool
-/// threads: destinations are independent, and the sieve's atomic bitmap
-/// covers disjoint owner ranges per destination. The collective itself
-/// stays on the rank's main thread (the [`Comm`] threading invariant).
+/// A pack marks each remote target `v` in `touched` and raises
+/// `best[slot(v)]` to its largest parent; the encode then walks each
+/// destination's words in ascending order, so its pairs come out sorted,
+/// unique and carrying the max parent — the canonical tie-break of
+/// [`claim_serial`] — with no per-destination sort. Everything here is
+/// atomic so pool threads can pack and encode through a shared reference:
+/// destinations own disjoint vertex ranges and only share the two edge
+/// words of their ranges, which every writer updates with masked
+/// read-modify-writes. `Relaxed` suffices because no value here publishes
+/// other data: the pack, the encode and the next level are separate pool
+/// batches, ordered by the pool's join.
+struct ExchangeScratch {
+    /// One bit per global vertex: remote targets packed since their
+    /// destination was last encoded. Only remote bits are ever set.
+    touched: Vec<AtomicU64>,
+    /// Largest parent packed for each touched remote vertex and 0 for
+    /// every other one, so packing is a plain max. Indexed by
+    /// [`ExchangeScratch::slot`]: the domain minus this rank's range.
+    best: Vec<AtomicU64>,
+    /// This rank's own vertex range (never packed here).
+    own: Range<u64>,
+    /// Cross-level filter of targets already sent, when sieving.
+    sieve: Option<Sieve>,
+    /// Overlap pipeline with a sieve only: targets emitted this level,
+    /// marked in the sieve at level end by [`ExchangeScratch::mark_sent`].
+    sent: Vec<AtomicU64>,
+}
+
+impl ExchangeScratch {
+    fn new(local: &Local1d, sieve: bool, overlap: bool) -> Self {
+        let n = local.block.domain();
+        let zeros = |len: u64| (0..len).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            touched: zeros(n.div_ceil(64)),
+            best: zeros(n - local.count() as u64),
+            own: local.range.clone(),
+            // One bit per global vertex: a vertex's owner is fixed, so
+            // this also keys (vertex, destination) pairs.
+            sieve: sieve.then(|| Sieve::new(n as usize)),
+            sent: zeros(if sieve && overlap { n.div_ceil(64) } else { 0 }),
+        }
+    }
+
+    /// Index of remote vertex `v` in `best`.
+    #[inline]
+    fn slot(&self, v: VertexId) -> usize {
+        debug_assert!(!self.own.contains(&v));
+        if v < self.own.start {
+            v as usize
+        } else {
+            (v - (self.own.end - self.own.start)) as usize
+        }
+    }
+
+    /// Packs remote target `v` reached from `u`. The plain loads skip the
+    /// read-modify-writes on repeat hits, which dominate on skewed graphs.
+    #[inline]
+    fn touch(&self, v: VertexId, u: VertexId) {
+        let (word, bit) = (&self.touched[(v / 64) as usize], 1u64 << (v % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+        let best = &self.best[self.slot(v)];
+        if u > best.load(Ordering::Relaxed) {
+            best.fetch_max(u, Ordering::Relaxed);
+        }
+    }
+
+    /// [`ExchangeScratch::touch`] for the rank's only thread.
+    #[inline]
+    fn touch_serial(&self, v: VertexId, u: VertexId) {
+        let (word, bit) = (&self.touched[(v / 64) as usize], 1u64 << (v % 64));
+        word.store(word.load(Ordering::Relaxed) | bit, Ordering::Relaxed);
+        let best = &self.best[self.slot(v)];
+        if u > best.load(Ordering::Relaxed) {
+            best.store(u, Ordering::Relaxed);
+        }
+    }
+
+    /// Drains the touched targets in `range` — one destination's owner
+    /// range — into an encoded buffer: sieve them a word at a time, emit
+    /// the survivors with their best parents in ascending order, and
+    /// clear the words. `defer` selects the overlap pipeline's contract:
+    /// the sieve is only read, and the emitted targets are recorded for
+    /// [`ExchangeScratch::mark_sent`]. Returns the buffer and the number
+    /// of targets the sieve dropped.
+    fn encode(&self, range: Range<u64>, codec: Codec, defer: bool) -> (WireBuf, u64) {
+        let mut dropped = 0u64;
+        if let Some(sieve) = &self.sieve {
+            for (w, mask) in words(range.clone()) {
+                let x = self.touched[w].load(Ordering::Relaxed) & mask;
+                if x == 0 {
+                    continue;
+                }
+                let seen = if defer {
+                    sieve.word(w) & x
+                } else {
+                    sieve.test_and_set_word(w, x)
+                };
+                if seen != 0 {
+                    dropped += u64::from(seen.count_ones());
+                    self.clear(w, seen);
+                }
+            }
+            if defer {
+                sieve.count_hits(dropped);
+            }
+        }
+        let pairs = words(range.clone()).flat_map(|(w, mask)| {
+            set_bits(self.touched[w].load(Ordering::Relaxed) & mask).map(move |b| {
+                let t = 64 * w as u64 + b;
+                (t, self.best[self.slot(t)].load(Ordering::Relaxed))
+            })
+        });
+        let buf = encode_pair_stream(pairs, range.clone(), codec);
+        for (w, mask) in words(range) {
+            let x = self.touched[w].load(Ordering::Relaxed) & mask;
+            if x != 0 {
+                self.clear(w, x);
+                if defer && self.sieve.is_some() {
+                    self.sent[w].fetch_or(x, Ordering::Relaxed);
+                }
+            }
+        }
+        (buf, dropped)
+    }
+
+    /// Untouches the bits `x` of word `w`, resetting their best parents.
+    fn clear(&self, w: usize, x: u64) {
+        self.touched[w].fetch_and(!x, Ordering::Relaxed);
+        for b in set_bits(x) {
+            self.best[self.slot(64 * w as u64 + b)].store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Overlap level end: marks every target emitted this level in the
+    /// sieve. None is there yet — the level filtered against the unmarked
+    /// sieve — so this counts no hits.
+    fn mark_sent(&self) {
+        if let Some(sieve) = &self.sieve {
+            for (w, word) in self.sent.iter().enumerate() {
+                let x = word.swap(0, Ordering::Relaxed);
+                if x != 0 {
+                    sieve.test_and_set_word(w, x);
+                }
+            }
+        }
+    }
+}
+
+/// The bitmap words covering `range`, each with the mask of its bits that
+/// fall inside the range (edge words of a range that is not 64-aligned
+/// are shared with the neighbouring range).
+fn words(range: Range<u64>) -> impl Iterator<Item = (usize, u64)> + Clone {
+    let Range { start, end } = range;
+    let span = if start < end {
+        start / 64..end.div_ceil(64)
+    } else {
+        0..0
+    };
+    span.map(move |w| {
+        let lo = (64 * w).max(start);
+        let hi = (64 * w + 64).min(end);
+        (w as usize, (u64::MAX >> (64 - (hi - lo))) << (lo - 64 * w))
+    })
+}
+
+/// Positions of the set bits of `x`, ascending.
+fn set_bits(mut x: u64) -> impl Iterator<Item = u64> + Clone {
+    std::iter::from_fn(move || {
+        (x != 0).then(|| {
+            let b = x.trailing_zeros();
+            x &= x - 1;
+            u64::from(b)
+        })
+    })
+}
+
+/// The codec pipeline around the all-to-all: drain each remote
+/// destination's deduplicated targets through the sieve into an encoded
+/// buffer, exchange as wire bytes, decode. The rank's own bucket stays on
+/// the board empty (its targets were claimed during the pack), so the
+/// collective schedule is the same as for the plain exchange.
+///
+/// Under a hybrid pool the per-destination encode and the receive-side
+/// decode both fan out across pool threads: destinations are independent
+/// (see [`ExchangeScratch`]). The collective itself stays on the rank's
+/// main thread (the [`Comm`] threading invariant).
 fn encode_exchange(
     comm: &Comm,
     local: &Local1d,
-    send: Vec<Vec<(u64, u64)>>,
+    scratch: &ExchangeScratch,
     codec: Codec,
-    sieve: Option<&Sieve>,
     level: i64,
     pool: Option<&rayon::ThreadPool>,
 ) -> (Vec<Vec<(u64, u64)>>, LevelCodecStats) {
-    let encode_one = |j: usize, mut pairs: Vec<(u64, u64)>| -> (WireBuf, u64) {
-        pairs.sort_unstable();
-        // Sorted by (target, parent): sliding the later parent into the
-        // retained element leaves each target once, with its max parent.
-        pairs.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 = a.1;
-                true
-            } else {
-                false
-            }
-        });
-        let mut dropped = 0u64;
-        if let Some(s) = sieve {
-            let before = pairs.len();
-            pairs.retain(|&(t, _)| !s.test_and_set(t as usize));
-            dropped = (before - pairs.len()) as u64;
-        }
-        (encode_pairs(&pairs, local.block.range(j), codec), dropped)
-    };
     let encode_t = comm.trace_start();
+    let (bufs, stats) = encode_level(comm, local, scratch, codec, level, pool, false);
+    comm.trace_span(SpanKind::Encode, encode_t, stats.sieve_hits);
+    let wire = comm.alltoallv_wire(bufs);
+    (decode(comm, &wire, pool), stats)
+}
+
+/// Encodes one buffer per destination from `scratch` (the own bucket
+/// empty), noting each in the level's codec stats; `defer` as in
+/// [`ExchangeScratch::encode`].
+fn encode_level(
+    comm: &Comm,
+    local: &Local1d,
+    scratch: &ExchangeScratch,
+    codec: Codec,
+    level: i64,
+    pool: Option<&rayon::ThreadPool>,
+    defer: bool,
+) -> (Vec<WireBuf>, LevelCodecStats) {
+    let rank = comm.rank();
+    let encode_one = |j: usize| -> (WireBuf, u64) {
+        if j == rank {
+            (WireBuf::default(), 0)
+        } else {
+            scratch.encode(local.block.range(j), codec, defer)
+        }
+    };
     let encoded: Vec<(WireBuf, u64)> = match pool {
-        Some(pool) => pool.install(|| {
-            send.into_par_iter()
-                .enumerate()
-                .map(|(j, pairs)| encode_one(j, pairs))
-                .collect()
-        }),
-        None => send
-            .into_iter()
-            .enumerate()
-            .map(|(j, pairs)| encode_one(j, pairs))
-            .collect(),
+        Some(pool) => pool.install(|| (0..comm.size()).into_par_iter().map(encode_one).collect()),
+        None => (0..comm.size()).map(encode_one).collect(),
     };
     let mut stats = LevelCodecStats {
         level: level as usize,
         ..Default::default()
     };
-    let mut bufs: Vec<WireBuf> = Vec::with_capacity(encoded.len());
-    for (j, (buf, dropped)) in encoded.into_iter().enumerate() {
-        stats.sieve_hits += dropped;
-        if j != comm.rank() {
+    let bufs = encoded
+        .into_iter()
+        .map(|(buf, dropped)| {
+            stats.sieve_hits += dropped;
             stats.note(&buf);
-        }
-        bufs.push(buf);
-    }
-    comm.trace_span(SpanKind::Encode, encode_t, stats.sieve_hits);
-    let wire = comm.alltoallv_wire(bufs);
+            buf
+        })
+        .collect();
+    (bufs, stats)
+}
+
+/// Decodes one exchange's received buffers (fanned out across the pool
+/// when there is one) under a Decode span.
+fn decode(comm: &Comm, wire: &[WireBuf], pool: Option<&rayon::ThreadPool>) -> Vec<Vec<(u64, u64)>> {
     let decode_t = comm.trace_start();
+    let decode_one = |b: &WireBuf| decode_pairs(b.bytes()).expect("corrupt frontier payload");
     let recv: Vec<Vec<(u64, u64)>> = match pool {
-        Some(pool) => pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect()),
-        None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
+        Some(pool) => pool.install(|| wire.par_iter().map(decode_one).collect()),
+        None => wire.iter().map(decode_one).collect(),
     };
     let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
     comm.trace_span(SpanKind::Decode, decode_t, decoded);
-    (recv, stats)
+    recv
 }
 
 /// One level of the chunked, double-buffered overlap pipeline: the
 /// frontier is split into `k` contiguous chunks; while chunk `c`'s wire
 /// buffers are in flight on the nonblocking [`Comm::ialltoallv_wire`],
-/// chunk `c + 1` is packed, deduplicated, sieved, and encoded, and each
-/// completed chunk is decoded and unpacked as it lands. Every rank runs
-/// exactly `k` start/wait pairs per level — chunks may be empty, but the
-/// collective schedule stays symmetric across ranks.
+/// chunk `c + 1` is packed (claiming owned targets), sieved, and encoded,
+/// and each completed chunk is decoded and unpacked as it lands. Every
+/// rank runs exactly `k` start/wait pairs per level — chunks may be
+/// empty, but the collective schedule stays symmetric across ranks.
 ///
 /// Bit-identity with the blocking path: the sieve is only *read*
-/// ([`Sieve::contains`]) while chunks are in flight and marked
-/// ([`Sieve::set`]) once at the end of the level, so chunk boundaries
-/// never change which pairs are dropped; and the receiver's claim /
-/// max-parent merge (see [`unpack_serial`]) is order-independent, so
-/// delivering a level's pairs in `k` batches leaves the parent tree
-/// unchanged. A vertex targeted from two chunks is sent twice (the
-/// blocking path's whole-level dedup would have collapsed it) — extra
-/// wire bytes, never a different tree.
+/// ([`Sieve::word`]) while chunks are in flight and the level's emitted
+/// targets are marked once at the end of the level, so chunk boundaries
+/// never change which pairs are dropped; and the claim / max-parent merge
+/// (see [`claim_serial`]) is order-independent, so delivering a level's
+/// pairs in `k` batches leaves the parent tree unchanged. A vertex
+/// targeted from two chunks is sent twice (the blocking path's
+/// whole-level dedup would have collapsed it) — extra wire bytes, never a
+/// different tree.
 #[allow(clippy::too_many_arguments)]
 fn overlapped_level(
     comm: &Comm,
     local: &Local1d,
     frontier: &[VertexId],
     codec: Codec,
-    sieve: Option<&Sieve>,
+    scratch: &ExchangeScratch,
     level: i64,
     pool: Option<&rayon::ThreadPool>,
     k: usize,
     levels: &[AtomicI64],
     parents: &[AtomicI64],
 ) -> (Vec<VertexId>, LevelCodecStats) {
-    let p = comm.size();
     let mut stats = LevelCodecStats {
         level: level as usize,
         ..Default::default()
     };
-    // Targets shipped this level, marked in the sieve only after the last
-    // chunk (deduplicated first, so a target shipped from two chunks never
-    // counts a spurious sieve hit at marking time).
-    let mut sent: Vec<u64> = Vec::new();
+    let mut next: Vec<VertexId> = Vec::new();
 
-    let encode_chunk =
-        |c: usize, stats: &mut LevelCodecStats, sent: &mut Vec<u64>| -> Vec<WireBuf> {
-            let (lo, hi) = (c * frontier.len() / k, (c + 1) * frontier.len() / k);
-            let chunk = &frontier[lo..hi];
-            let pack_t = comm.trace_start();
-            let send = match pool {
-                Some(pool) => pool.install(|| pack_parallel(local, chunk, p)),
-                None => pack_serial(local, chunk, p),
-            };
-            comm.trace_span(SpanKind::Pack, pack_t, chunk.len() as u64);
-            let encode_one = |j: usize, mut pairs: Vec<(u64, u64)>| -> (WireBuf, Vec<u64>, u64) {
-                pairs.sort_unstable();
-                pairs.dedup_by(|a, b| {
-                    if a.0 == b.0 {
-                        b.1 = a.1;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                let mut dropped = 0u64;
-                if let Some(s) = sieve {
-                    let before = pairs.len();
-                    pairs.retain(|&(t, _)| !s.contains(t as usize));
-                    dropped = (before - pairs.len()) as u64;
-                    s.count_hits(dropped);
-                }
-                let targets: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
-                (
-                    encode_pairs(&pairs, local.block.range(j), codec),
-                    targets,
-                    dropped,
-                )
-            };
-            let encode_t = comm.trace_start();
-            let encoded: Vec<(WireBuf, Vec<u64>, u64)> = match pool {
-                Some(pool) => pool.install(|| {
-                    send.into_par_iter()
-                        .enumerate()
-                        .map(|(j, pairs)| encode_one(j, pairs))
-                        .collect()
-                }),
-                None => send
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, pairs)| encode_one(j, pairs))
-                    .collect(),
-            };
-            let mut bufs: Vec<WireBuf> = Vec::with_capacity(encoded.len());
-            let mut chunk_hits = 0u64;
-            for (j, (buf, targets, dropped)) in encoded.into_iter().enumerate() {
-                stats.sieve_hits += dropped;
-                chunk_hits += dropped;
-                if j != comm.rank() {
-                    stats.note(&buf);
-                }
-                sent.extend(targets);
-                bufs.push(buf);
-            }
-            comm.trace_span(SpanKind::Encode, encode_t, chunk_hits);
-            bufs
-        };
-
+    let mut encode_chunk = |c: usize, next: &mut Vec<VertexId>| -> Vec<WireBuf> {
+        let (lo, hi) = (c * frontier.len() / k, (c + 1) * frontier.len() / k);
+        next.extend(pack_claim(
+            comm,
+            local,
+            &frontier[lo..hi],
+            scratch,
+            pool,
+            levels,
+            parents,
+            level,
+        ));
+        let encode_t = comm.trace_start();
+        let (bufs, chunk) = encode_level(comm, local, scratch, codec, level, pool, true);
+        comm.trace_span(SpanKind::Encode, encode_t, chunk.sieve_hits);
+        stats.merge(&chunk);
+        bufs
+    };
     let decode_unpack = |wire: Vec<WireBuf>, next: &mut Vec<VertexId>| {
-        let decode_t = comm.trace_start();
-        let recv: Vec<Vec<(u64, u64)>> = match pool {
-            Some(pool) => {
-                pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect())
-            }
-            None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-        };
-        let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
-        comm.trace_span(SpanKind::Decode, decode_t, decoded);
-        let unpack_t = comm.trace_start();
-        let claimed = match pool {
-            Some(pool) => pool.install(|| unpack_parallel(local, &recv, levels, parents, level)),
-            None => unpack_serial(local, &recv, levels, parents, level),
-        };
-        comm.trace_span(SpanKind::Unpack, unpack_t, claimed.len() as u64);
-        next.extend(claimed);
+        let recv = decode(comm, &wire, pool);
+        next.extend(unpack(comm, local, &recv, pool, levels, parents, level));
     };
 
-    let mut next: Vec<VertexId> = Vec::new();
-    let mut pending = comm.ialltoallv_wire(encode_chunk(0, &mut stats, &mut sent));
+    let mut pending = comm.ialltoallv_wire(encode_chunk(0, &mut next));
     for c in 1..k {
         // Encode chunk c while chunk c - 1 is in flight, then rotate the
         // double buffer: collect c - 1, launch c, unpack c - 1 while c
         // flies.
-        let bufs = encode_chunk(c, &mut stats, &mut sent);
+        let bufs = encode_chunk(c, &mut next);
         let wire = pending.wait();
         pending = comm.ialltoallv_wire(bufs);
         decode_unpack(wire, &mut next);
     }
     let wire = pending.wait();
     decode_unpack(wire, &mut next);
-
-    if let Some(s) = sieve {
-        sent.sort_unstable();
-        sent.dedup();
-        for &t in &sent {
-            s.set(t as usize);
-        }
-    }
+    scratch.mark_sent();
     (next, stats)
 }
 
-/// Serial buffer packing (flat variant).
+/// Serial buffer packing (flat variant) for the plain exchange.
 fn pack_serial(local: &Local1d, frontier: &[VertexId], p: usize) -> Vec<Vec<(u64, u64)>> {
     let mut send: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
     for &u in frontier {
@@ -833,69 +943,165 @@ fn pack_parallel(local: &Local1d, frontier: &[VertexId], p: usize) -> Vec<Vec<(u
         )
 }
 
-/// Serial unpack: distance check and claim (lines 23–26).
+/// Codec-path packing (lines 13–19) with the owner's claim (lines 23–26)
+/// folded in: a target this rank owns is claimed on the spot — its bucket
+/// would only come back to this rank — and every other target is
+/// deduplicated into `scratch`. Returns the vertices claimed, under a
+/// Pack span.
+#[allow(clippy::too_many_arguments)]
+fn pack_claim(
+    comm: &Comm,
+    local: &Local1d,
+    frontier: &[VertexId],
+    scratch: &ExchangeScratch,
+    pool: Option<&rayon::ThreadPool>,
+    levels: &[AtomicI64],
+    parents: &[AtomicI64],
+    level: i64,
+) -> Vec<VertexId> {
+    let pack_t = comm.trace_start();
+    let next = match pool {
+        Some(pool) => {
+            let batch_t = comm.trace_start();
+            let next = pool.install(|| {
+                frontier
+                    .par_iter()
+                    .with_min_len(64)
+                    .fold(Vec::new, |mut next: Vec<VertexId>, &u| {
+                        for &v in local.neighbors(u) {
+                            if !local.range.contains(&v) {
+                                scratch.touch(v, u);
+                            } else if claim_shared(levels, parents, local.to_local(v), level, u) {
+                                next.push(v);
+                            }
+                        }
+                        next
+                    })
+                    .reduce(Vec::new, |mut a, mut b| {
+                        a.append(&mut b);
+                        a
+                    })
+            });
+            comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+            next
+        }
+        None => {
+            let mut next = Vec::new();
+            for &u in frontier {
+                for &v in local.neighbors(u) {
+                    if !local.range.contains(&v) {
+                        scratch.touch_serial(v, u);
+                    } else if claim_serial(levels, parents, local.to_local(v), level, u) {
+                        next.push(v);
+                    }
+                }
+            }
+            next
+        }
+    };
+    comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+    next
+}
+
+/// Owners claim the newly visited vertices among received pairs (lines
+/// 23–28), on the pool when there is one, under an Unpack span.
+fn unpack(
+    comm: &Comm,
+    local: &Local1d,
+    recv: &[Vec<(u64, u64)>],
+    pool: Option<&rayon::ThreadPool>,
+    levels: &[AtomicI64],
+    parents: &[AtomicI64],
+    level: i64,
+) -> Vec<VertexId> {
+    let unpack_t = comm.trace_start();
+    let next = match pool {
+        Some(pool) => {
+            let batch_t = comm.trace_start();
+            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+            let next = pool.install(|| {
+                recv.par_iter()
+                    .flat_map_iter(|buf| buf.iter().copied())
+                    .fold(Vec::new, |mut next: Vec<VertexId>, (v, parent)| {
+                        if claim_shared(levels, parents, local.to_local(v), level, parent) {
+                            next.push(v);
+                        }
+                        next
+                    })
+                    .reduce(Vec::new, |mut a, mut b| {
+                        a.append(&mut b);
+                        a
+                    })
+            });
+            comm.trace_span(SpanKind::TaskBatch, batch_t, received);
+            next
+        }
+        None => {
+            let mut next = Vec::new();
+            for &(v, parent) in recv.iter().flatten() {
+                if claim_serial(levels, parents, local.to_local(v), level, parent) {
+                    next.push(v);
+                }
+            }
+            next
+        }
+    };
+    comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
+    next
+}
+
+/// Claims owned vertex `i` for `level` from `parent`: the distance check
+/// and claim of lines 23–26. Returns whether this call reached it first.
 ///
 /// The tie-break between same-level claims is canonical: the numerically
 /// largest parent wins. That makes the final parent of a vertex the max
 /// over *all* same-level arrivals, independent of arrival order, of
-/// per-sender dedup, and of sender-side sieving — which is what keeps the
+/// per-sender dedup, of sender-side sieving, and of whether the claim came
+/// off the wire or straight out of the pack — which is what keeps the
 /// parent trees bit-identical across every codec × sieve configuration.
-fn unpack_serial(
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
+#[inline]
+fn claim_serial(
     levels: &[AtomicI64],
     parents: &[AtomicI64],
+    i: usize,
     level: i64,
-) -> Vec<VertexId> {
-    let mut next = Vec::new();
-    for buf in recv {
-        for &(v, parent) in buf {
-            let i = local.to_local(v);
-            let seen = levels[i].load(Ordering::Relaxed);
-            if seen == UNREACHED {
-                levels[i].store(level, Ordering::Relaxed);
-                parents[i].store(parent as i64, Ordering::Relaxed);
-                next.push(v);
-            } else if seen == level {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-            }
-        }
+    parent: VertexId,
+) -> bool {
+    let parent = parent as i64;
+    let seen = levels[i].load(Ordering::Relaxed);
+    if seen == UNREACHED {
+        levels[i].store(level, Ordering::Relaxed);
+        parents[i].store(parent, Ordering::Relaxed);
+        return true;
     }
-    next
+    if seen == level && parent > parents[i].load(Ordering::Relaxed) {
+        parents[i].store(parent, Ordering::Relaxed);
+    }
+    false
 }
 
-/// Thread-parallel unpack with thread-local next stacks; CAS-claimed so a
-/// vertex enters the next frontier exactly once. Applies the same
-/// max-parent tie-break as [`unpack_serial`]: `fetch_max` is safe right
-/// after a claim because any parent id is ≥ 0 > [`UNREACHED`].
-fn unpack_parallel(
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
+/// [`claim_serial`] for pool threads: CAS-claimed so a vertex enters the
+/// next frontier exactly once. `fetch_max` is safe right after a claim
+/// because any parent id is ≥ 0 > [`UNREACHED`].
+#[inline]
+fn claim_shared(
     levels: &[AtomicI64],
     parents: &[AtomicI64],
+    i: usize,
     level: i64,
-) -> Vec<VertexId> {
-    recv.par_iter()
-        .flat_map_iter(|buf| buf.iter().copied())
-        .fold(Vec::new, |mut next: Vec<VertexId>, (v, parent)| {
-            let i = local.to_local(v);
-            let seen = levels[i].load(Ordering::Relaxed);
-            if seen == UNREACHED
-                && levels[i]
-                    .compare_exchange(UNREACHED, level, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-                next.push(v);
-            } else if levels[i].load(Ordering::Relaxed) == level {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-            }
-            next
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
+    parent: VertexId,
+) -> bool {
+    let parent = parent as i64;
+    let claimed = levels[i].load(Ordering::Relaxed) == UNREACHED
+        && levels[i]
+            .compare_exchange(UNREACHED, level, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok();
+    if (claimed || levels[i].load(Ordering::Relaxed) == level)
+        && parent > parents[i].load(Ordering::Relaxed)
+    {
+        parents[i].fetch_max(parent, Ordering::Relaxed);
+    }
+    claimed
 }
 
 #[cfg(test)]
@@ -911,6 +1117,106 @@ mod tests {
         let mut el = rmat(&RmatConfig::graph500(scale, seed));
         el.canonicalize_undirected();
         CsrGraph::from_edge_list(&el)
+    }
+
+    /// Rank 1 of 3 over a 1000-vertex domain: the owner ranges 0..333,
+    /// 333..666 and 666..1000 all start or end mid-word, and remote
+    /// targets lie on both sides of the own range.
+    fn scratch_fixture(sieve: bool, overlap: bool) -> (Local1d, ExchangeScratch) {
+        let g = CsrGraph::from_edge_list(&EdgeList::new(1000, vec![]));
+        let local = extract_1d(&g, 3, 1);
+        let scratch = ExchangeScratch::new(&local, sieve, overlap);
+        (local, scratch)
+    }
+
+    /// Pseudo-random remote `(target, parent)` edges, heavy with repeats,
+    /// plus fixed ones on every range boundary.
+    fn remote_edges(local: &Local1d, count: usize, seed: u64) -> Vec<(u64, u64)> {
+        let mut x = seed;
+        let mut draw = || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        let mut edges = vec![(0, 3), (332, 5), (332, 9), (666, 1), (999, 4)];
+        edges.extend((0..count).map(|_| (draw() % 1000, draw() % 1000)));
+        edges.retain(|(v, _)| !local.range.contains(v));
+        edges
+    }
+
+    /// The per-pair pipeline the scratch replaced: sort, then collapse
+    /// each target to its max parent.
+    fn sorted_max_parent(edges: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let mut best = std::collections::BTreeMap::new();
+        for &(v, u) in edges {
+            let p = best.entry(v).or_insert(u);
+            *p = (*p).max(u);
+        }
+        best.into_iter().collect()
+    }
+
+    /// Encodes both remote destinations and decodes them back; returns
+    /// the pairs in destination order and the sieve drops.
+    fn drain(local: &Local1d, scratch: &ExchangeScratch, defer: bool) -> (Vec<(u64, u64)>, u64) {
+        let mut pairs = Vec::new();
+        let mut dropped = 0;
+        for j in [0, 2] {
+            let (buf, d) = scratch.encode(local.block.range(j), Codec::Adaptive, defer);
+            pairs.extend(decode_pairs(buf.bytes()).unwrap());
+            dropped += d;
+        }
+        (pairs, dropped)
+    }
+
+    #[test]
+    fn scratch_emits_sorted_max_parent_pairs_across_unaligned_ranges() {
+        let (local, scratch) = scratch_fixture(false, false);
+        assert_eq!(local.range, 333..666);
+        let edges = remote_edges(&local, 4000, 7);
+        // Every edge twice, as in a multigraph, once through each packing
+        // flavour: the max parent must win.
+        for &(v, u) in &edges {
+            scratch.touch_serial(v, u);
+            scratch.touch(v, u);
+        }
+        let (pairs, dropped) = drain(&local, &scratch, false);
+        assert_eq!(dropped, 0);
+        assert_eq!(pairs, sorted_max_parent(&edges));
+        for t in [0, 332, 666, 999] {
+            assert!(pairs.iter().any(|&(v, _)| v == t), "boundary target {t}");
+        }
+        // Draining leaves the scratch clean for the next level.
+        assert!(scratch
+            .touched
+            .iter()
+            .all(|w| w.load(Ordering::Relaxed) == 0));
+        assert!(scratch.best.iter().all(|b| b.load(Ordering::Relaxed) == 0));
+        assert!(drain(&local, &scratch, false).0.is_empty());
+    }
+
+    #[test]
+    fn word_sieve_hits_match_the_per_pair_count() {
+        for defer in [false, true] {
+            let (local, scratch) = scratch_fixture(true, defer);
+            let reference = Sieve::new(1000);
+            for level in 0..4 {
+                let edges = remote_edges(&local, 300, 11 + level);
+                for &(v, u) in &edges {
+                    scratch.touch(v, u);
+                }
+                let before = reference.hits();
+                let mut expected = sorted_max_parent(&edges);
+                expected.retain(|&(t, _)| !reference.test_and_set(t as usize));
+                let (pairs, dropped) = drain(&local, &scratch, defer);
+                scratch.mark_sent();
+                assert_eq!(pairs, expected, "defer {defer}, level {level}");
+                assert_eq!(dropped, reference.hits() - before, "defer {defer}");
+            }
+            let sieve = scratch.sieve.as_ref().unwrap();
+            assert!(reference.hits() > 0);
+            assert_eq!(sieve.hits(), reference.hits(), "defer {defer}");
+        }
     }
 
     #[test]

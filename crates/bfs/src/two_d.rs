@@ -473,6 +473,7 @@ impl RankState {
                     lvl.note(&buf);
                 }
                 decode_set(comm.sendrecv_wire(partner, buf).bytes())
+                    .expect("corrupt frontier payload")
             } else {
                 self.transpose(comm, &frontier)
             };
@@ -492,7 +493,7 @@ impl RankState {
                     col_comm
                         .allgatherv_wire(buf)
                         .iter()
-                        .map(|b| decode_set(b.bytes()))
+                        .map(|b| decode_set(b.bytes()).expect("corrupt frontier payload"))
                         .collect()
                 }
                 ExpandAlgorithm::Board => col_comm.allgatherv(transposed),
@@ -584,9 +585,9 @@ impl RankState {
                             let decode_t = comm.trace_start();
                             let out: Vec<Vec<(u64, u64)>> = match pool {
                                 Some(pool) => pool.install(|| {
-                                    wire.par_iter().map(|b| decode_pairs(b.bytes())).collect()
+                                    wire.par_iter().map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload")).collect()
                                 }),
-                                None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
+                                None => wire.iter().map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload")).collect(),
                             };
                             let decoded: u64 = out.iter().map(|b| b.len() as u64).sum();
                             comm.trace_span(SpanKind::Decode, decode_t, decoded);
@@ -721,10 +722,15 @@ impl RankState {
         let decode_chunk = |wire: Vec<WireBuf>, decoded: &mut Vec<Vec<(u64, u64)>>| {
             let decode_t = comm.trace_start();
             let out: Vec<Vec<(u64, u64)>> = match pool {
-                Some(pool) => {
-                    pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect())
-                }
-                None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
+                Some(pool) => pool.install(|| {
+                    wire.par_iter()
+                        .map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload"))
+                        .collect()
+                }),
+                None => wire
+                    .iter()
+                    .map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload"))
+                    .collect(),
             };
             let n: u64 = out.iter().map(|b| b.len() as u64).sum();
             comm.trace_span(SpanKind::Decode, decode_t, n);

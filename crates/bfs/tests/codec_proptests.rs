@@ -2,7 +2,8 @@
 //! round-trips exactly, and — the load-bearing invariant — the BFS
 //! parent tree is bit-identical across every codec × sieve choice for
 //! both distributed algorithms. Compression is a transport concern; it
-//! must never change the answer.
+//! must never change the answer. Decoding is total: arbitrary bytes off
+//! the wire are an error, never a panic.
 
 use dmbfs_bfs::frontier_codec::{decode_pairs, decode_set, encode_pairs, encode_set, Codec};
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
@@ -63,7 +64,7 @@ proptest! {
         if codec != Codec::Off {
             let buf = encode_pairs(&pairs, base..base + len, codec);
             prop_assert_eq!(buf.logical_bytes, 16 * pairs.len() as u64);
-            prop_assert_eq!(decode_pairs(buf.bytes()), pairs);
+            prop_assert_eq!(decode_pairs(buf.bytes()).unwrap(), pairs);
         }
     }
 
@@ -76,7 +77,42 @@ proptest! {
             let set: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
             let buf = encode_set(&set, base..base + len, codec);
             prop_assert_eq!(buf.logical_bytes, 8 * set.len() as u64);
-            prop_assert_eq!(decode_set(buf.bytes()), set);
+            prop_assert_eq!(decode_set(buf.bytes()).unwrap(), set);
+        }
+    }
+
+    #[test]
+    fn decoders_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let _ = decode_pairs(&bytes);
+        let _ = decode_set(&bytes);
+    }
+
+    #[test]
+    fn decoders_never_panic_on_corrupted_payloads(
+        (base, len, pairs) in payload(),
+        codec in codec_strategy(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        cut in any::<usize>(),
+    ) {
+        // Near-valid inputs reach deeper into the decoders than random
+        // bytes: a real payload with a few bytes flipped, then truncated.
+        if codec != Codec::Off {
+            let set: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
+            for buf in [
+                encode_pairs(&pairs, base..base + len, codec),
+                encode_set(&set, base..base + len, codec),
+            ] {
+                let mut bytes = buf.bytes().to_vec();
+                for (at, mask) in &flips {
+                    let i = at % bytes.len();
+                    bytes[i] ^= mask;
+                }
+                bytes.truncate(cut % (bytes.len() + 1));
+                let _ = decode_pairs(&bytes);
+                let _ = decode_set(&bytes);
+            }
         }
     }
 

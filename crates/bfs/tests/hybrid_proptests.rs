@@ -4,7 +4,8 @@
 //! For both distributed algorithms, across every codec × sieve
 //! configuration, the hybrid run must produce levels and parents
 //! bit-identical to the flat run (the max-parent tie-break makes the
-//! reduction order-independent), and the parent tree must validate.
+//! reduction order-independent), and the parent tree must validate. The
+//! 1D run's per-level codec telemetry must match too.
 //!
 //! Run single-threaded (`RUST_TEST_THREADS=1`) these still exercise
 //! multi-threaded rank pools — the pool size is the config's
@@ -68,6 +69,32 @@ proptest! {
             validate_bfs(&g, source, &hybrid.parents, &hybrid.levels).unwrap();
             prop_assert_eq!(&hybrid.parents, &flat.parents, "sieve {}", sieve);
             prop_assert_eq!(&hybrid.levels, &flat.levels, "sieve {}", sieve);
+        }
+    }
+
+    #[test]
+    fn hybrid_1d_codec_levels_match_flat_under_every_codec_and_sieve(
+        g in graph(80, 400),
+        p in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        // Levels and parents alone would not notice a pool path that drops
+        // or duplicates a remote target the owner also gets from another
+        // sender; the per-level wire accounting does.
+        let source = seed % g.num_vertices();
+        for codec in [Codec::Raw, Codec::VarintDelta, Codec::Bitmap, Codec::Adaptive] {
+            for sieve in [false, true] {
+                let cfg = |c: Bfs1dConfig| c.with_codec(codec).with_sieve(sieve);
+                let flat = bfs1d_run(&g, source, &cfg(Bfs1dConfig::flat(p)));
+                let hybrid = bfs1d_run(&g, source, &cfg(Bfs1dConfig::hybrid(p, 2)));
+                prop_assert_eq!(
+                    &hybrid.codec_levels,
+                    &flat.codec_levels,
+                    "codec {:?}, sieve {}",
+                    codec,
+                    sieve
+                );
+            }
         }
     }
 

@@ -1389,8 +1389,12 @@ mod tests {
         parse_args(parts.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// A fresh directory per call: tests run in parallel and each removes
+    /// its directory on exit, so sharing one would delete a sibling's files.
     fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmbfs-cli-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dmbfs-cli-{}-{id}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -24,6 +24,11 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"DMBFSEL1";
 const MAGIC_WEIGHTED: &[u8; 8] = b"DMBFSWL1";
 
+/// Most edge records pre-allocated from a header's count. The count is
+/// untrusted input: a forged header must end in a read error at the
+/// truncated body, not in an allocation abort before the first record.
+const MAX_PREALLOC_EDGES: u64 = 1 << 20;
+
 /// Writes the binary edge-list format to `w`.
 pub fn write_binary<W: Write>(el: &EdgeList, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
@@ -53,7 +58,7 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<EdgeList> {
     let n = u64::from_le_bytes(buf8);
     r.read_exact(&mut buf8)?;
     let m = u64::from_le_bytes(buf8);
-    let mut edges: Vec<Edge> = Vec::with_capacity(m as usize);
+    let mut edges: Vec<Edge> = Vec::with_capacity(m.min(MAX_PREALLOC_EDGES) as usize);
     let mut buf16 = [0u8; 16];
     for _ in 0..m {
         r.read_exact(&mut buf16)?;
@@ -115,7 +120,7 @@ pub fn read_binary_weighted<R: Read>(r: R) -> io::Result<(u64, Vec<WeightedEdge>
     let n = u64::from_le_bytes(buf8);
     r.read_exact(&mut buf8)?;
     let m = u64::from_le_bytes(buf8);
-    let mut edges: Vec<WeightedEdge> = Vec::with_capacity(m as usize);
+    let mut edges: Vec<WeightedEdge> = Vec::with_capacity(m.min(MAX_PREALLOC_EDGES) as usize);
     let mut rec = [0u8; 20];
     for _ in 0..m {
         r.read_exact(&mut rec)?;
@@ -267,6 +272,24 @@ mod tests {
         write_binary(&el, &mut buf).unwrap();
         buf.truncate(buf.len() - 7);
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forged_edge_count_is_an_error_not_an_abort() {
+        // A 24-byte file claiming 2^40 edges: the reader must fail at the
+        // missing first record instead of reserving 16 TiB up front.
+        for magic in [MAGIC, MAGIC_WEIGHTED] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(magic);
+            buf.extend_from_slice(&4u64.to_le_bytes());
+            buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+            let err = if magic == MAGIC {
+                read_binary(buf.as_slice()).unwrap_err()
+            } else {
+                read_binary_weighted(buf.as_slice()).unwrap_err()
+            };
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]
