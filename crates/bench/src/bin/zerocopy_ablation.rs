@@ -6,9 +6,9 @@
 //! loan path on, a sealed `WireBuf` crosses the exchange board as an
 //! `Arc` refcount bump and receivers decode straight from the sender's
 //! allocation; with it off (`set_loan_threshold(None)`) every receiver
-//! memcpys its slice off the board — the pre-refactor behavior. The
-//! two-barrier protocol makes the read phase collective, so the removed
-//! memcpy wall comes straight out of the exposed exchange time.
+//! memcpys its slice off the board — the pre-refactor behavior. Every
+//! receiver copies inside the collective's wall, so the removed memcpy
+//! wall comes straight out of the exposed exchange time.
 //!
 //! Measurement design, tuned for an oversubscribed single-socket host:
 //!

@@ -1010,7 +1010,7 @@ fn first_line(s: &str) -> String {
 /// Classifies the panic payload a chaos cell died with. Mirrors the
 /// priority order of the runtime's own root-cause selection: an injected
 /// payload is the ground truth, a structured verifier diagnostic is a
-/// detection, and a bare barrier-watchdog string is an escape (the fault
+/// detection, and a bare lane-board watchdog string is an escape (the fault
 /// was only noticed by the last-resort timeout).
 fn classify_payload(payload: &(dyn std::any::Any + Send), injected: usize) -> CellOutcome {
     if let Some(f) = payload.downcast_ref::<InjectedFault>() {

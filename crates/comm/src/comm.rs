@@ -1,13 +1,12 @@
 //! Communicator handles and typed collectives.
 
-use crate::barrier::{Poison, PoisonBarrier};
-use crate::exchange::ExchangeBoard;
+use crate::exchange::{ExchangeBoard, Poison};
 use crate::fault::{corrupt_site, fnv1a64, FaultInjector, FaultPlan};
 use crate::stats::{CommEvent, CommStats, LevelTiming, Pattern};
 use crate::verify::{CollectiveKind, Fingerprint, VerifyBoard};
 use dmbfs_trace::{CollectiveTag, RankTrace, SpanKind, TraceSink};
 use parking_lot::Mutex;
-use std::any::{Any, TypeId};
+use std::any::TypeId;
 use std::cell::{Cell, RefCell};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,14 +56,14 @@ pub fn set_loan_threshold(threshold: Option<u64>) {
     LOAN_THRESHOLD.store(threshold.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
 
-/// How a [`WireBuf`]'s bytes travel through the exchange board.
+/// How a [`WireBuf`]'s bytes travel through the lane board.
 ///
 /// `Copied` is the eager path: the receiver clones the bytes out of the
 /// board (one memcpy per receiver). `Loaned` is the rendezvous path: the
 /// sender's allocation is moved (not copied) behind an `Arc` at seal time,
 /// receivers decode straight from the sender's buffer, and the loan is
 /// released when the last reference drops — which may be *after* the
-/// exchange ring retires the slot; the refcount keeps the epoch-scoped
+/// lane retires the slot; the refcount keeps the epoch-scoped
 /// retirement safe. See `docs/zero-copy.md`.
 #[derive(Clone, Debug)]
 enum WirePayload {
@@ -166,38 +165,63 @@ impl WireBuf {
     }
 }
 
-/// Shared state of one communicator: an exchange board with one slot per
-/// rank plus a poisonable barrier.
+/// Shared state of one communicator: the lane board every collective
+/// rendezvouses on, the world's poison flag, and the optional verifier.
 pub(crate) struct Shared {
-    pub(crate) slots: Vec<Mutex<Option<Arc<dyn Any + Send + Sync>>>>,
-    pub(crate) barrier: PoisonBarrier,
+    pub(crate) board: ExchangeBoard,
     pub(crate) poison: Arc<Poison>,
     /// Collective-matching verifier board; `None` when verification is off
     /// (the default), so the per-collective cost is one `Option` check.
     pub(crate) verify: Option<Arc<VerifyBoard>>,
-    /// Barrier-free depth-2 ring board for the nonblocking exchange: a
-    /// completing `wait()` blocks only on peers' *starts*, never on their
-    /// waits (see the `exchange` module).
-    pub(crate) exchange: ExchangeBoard,
 }
 
 impl Shared {
-    pub(crate) fn new(size: usize, poison: Arc<Poison>) -> Arc<Self> {
-        Self::new_with_verify(size, poison, None)
-    }
-
-    pub(crate) fn new_with_verify(
+    pub(crate) fn new(
         size: usize,
         poison: Arc<Poison>,
         verify: Option<Arc<VerifyBoard>>,
     ) -> Arc<Self> {
         Arc::new(Self {
-            slots: (0..size).map(|_| Mutex::new(None)).collect(),
-            barrier: PoisonBarrier::new(size, poison.clone()),
-            exchange: ExchangeBoard::new(size, poison.clone()),
+            board: ExchangeBoard::new(size, poison.clone()),
             poison,
             verify,
         })
+    }
+}
+
+/// One wire collective's deposit: either one buffer per destination rank
+/// or a single buffer every reader takes, plus per-buffer pre-corruption
+/// checksums when the verifier is on.
+struct WireLane {
+    bufs: Vec<WireBuf>,
+    sums: Option<Vec<u64>>,
+}
+
+/// One rank's byte accounting for one collective: logical and wire bytes
+/// each way, and how the outbound wire bytes travelled — as zero-copy
+/// loans or as owned copies. Only the wire collectives take part in that
+/// split; plain ones leave both at zero.
+#[derive(Clone, Copy, Default)]
+struct Traffic {
+    bytes_out: u64,
+    bytes_in: u64,
+    wire_out: u64,
+    wire_in: u64,
+    loaned_out: u64,
+    copied_out: u64,
+    loaned_in: u64,
+}
+
+impl Traffic {
+    /// Plain collectives put their logical payload on the wire verbatim.
+    fn plain(bytes_out: u64, bytes_in: u64) -> Self {
+        Self {
+            bytes_out,
+            bytes_in,
+            wire_out: bytes_out,
+            wire_in: bytes_in,
+            ..Self::default()
+        }
     }
 }
 
@@ -206,9 +230,10 @@ impl Shared {
 /// (the world communicator) and [`Comm::split`] (sub-communicators); each
 /// handle belongs to exactly one thread.
 ///
-/// All collectives are **blocking** and must be called by every rank of the
-/// communicator in the same order with compatible arguments, exactly as in
-/// MPI. Payload types need `Clone + Send + Sync + 'static`.
+/// All collectives (bar the [`Comm::ialltoallv_wire`] start/wait pair)
+/// are **blocking** and must be called by every rank of the communicator
+/// in the same order with compatible arguments, exactly as in MPI.
+/// Payload types need `Clone + Send + Sync + 'static`.
 ///
 /// # Threading invariant (hybrid MPI + threads)
 ///
@@ -222,9 +247,9 @@ impl Shared {
 ///   cannot be shared with pool workers by reference;
 /// * run time: every collective asserts it is running on the thread that
 ///   created the handle, catching handles smuggled across threads by
-///   move (`Comm` is `Send`) — the barrier generation counters and the
-///   per-rank exchange-board slots assume one caller per rank, and a
-///   second thread entering a collective would corrupt the rendezvous.
+///   move (`Comm` is `Send`) — the per-handle epoch counter and the
+///   rank's lane on the board assume one caller per rank, and a second
+///   thread entering a collective would corrupt the rendezvous.
 pub struct Comm {
     shared: Arc<Shared>,
     rank: usize,
@@ -254,15 +279,13 @@ pub struct Comm {
     verify_epoch: Cell<u64>,
     /// True between [`Comm::ialltoallv_wire`] and the matching
     /// [`PendingExchange::wait`]. While set, no other collective may run
-    /// on this handle: the depth-2 exchange ring assumes one outstanding
-    /// exchange, and an interleaved barrier collective would let a rank
-    /// run more than one exchange ahead of a slow peer.
+    /// on this handle: one outstanding exchange per communicator is part
+    /// of the lane board's contract.
     pending_exchange: Cell<bool>,
-    /// This rank's nonblocking-exchange counter on this communicator: the
-    /// epoch of the next `ialltoallv_wire` it will start, indexing the
-    /// depth-2 exchange ring. Advances identically on every rank because
-    /// the exchange is collective.
-    exchange_epoch: Cell<u64>,
+    /// Lane-board epoch of the next collective this rank posts on this
+    /// communicator. Every collective advances it exactly once, so it
+    /// advances identically on every rank.
+    epoch: Cell<u64>,
 }
 
 /// The trace-side name of a collective pattern. `dmbfs-trace` is a leaf
@@ -291,7 +314,7 @@ impl Comm {
             owner: std::thread::current().id(),
             verify_epoch: Cell::new(0),
             pending_exchange: Cell::new(false),
-            exchange_epoch: Cell::new(0),
+            epoch: Cell::new(0),
         }
     }
 
@@ -301,17 +324,35 @@ impl Comm {
         self.shared.verify.is_some()
     }
 
-    /// Records this rank's fingerprint for the collective it is entering
-    /// and rendezvouses with the rest of the group for cross-checking.
-    /// No-op (one `Option` check) when verification is off.
-    #[inline]
-    fn verify_enter(
-        &self,
-        kind: CollectiveKind,
-        type_id: TypeId,
-        type_name: &'static str,
-        location: &'static Location<'static>,
-    ) {
+    /// The entry hook of every collective, applied once: the owner-thread
+    /// assert (see the threading invariant on [`Comm`]), the in-flight
+    /// assert, the fault hook, schedule capture and the verifier
+    /// rendezvous. Returns the instant the collective proper starts.
+    ///
+    /// The fault hook runs **before** the verifier rendezvous, so a
+    /// delayed or fail-stopped rank is late *to* the rendezvous and the
+    /// verify watchdog names it, matching how real MPI tools observe
+    /// stragglers and dead processes. Both hooks are one `Option` check
+    /// when disarmed.
+    #[track_caller]
+    fn enter<T: 'static>(&self, kind: CollectiveKind) -> Instant {
+        assert_eq!(
+            std::thread::current().id(),
+            self.owner,
+            "Comm collectives must be called from the rank's main thread \
+             (the thread that created the handle); pool worker threads \
+             must not communicate — see the threading invariant on Comm"
+        );
+        assert!(
+            !self.pending_exchange.get() || kind == CollectiveKind::IalltoallvWireWait,
+            "a nonblocking exchange is in flight on this communicator: \
+             call PendingExchange::wait() before issuing another collective"
+        );
+        let location = Location::caller();
+        let inj = self.fault.borrow().as_ref().cloned();
+        if let Some(inj) = inj {
+            inj.on_collective(kind, location);
+        }
         // Schedule capture sits before the verify gate: the harvest works
         // (and the conformance test runs) with or without the verifier.
         if let Some(log) = self.sched_log.borrow().as_ref() {
@@ -320,15 +361,232 @@ impl Comm {
         if let Some(board) = self.shared.verify.as_ref() {
             let epoch = self.verify_epoch.get();
             self.verify_epoch.set(epoch + 1);
+            // Diagnostics name the wire payload by its short name.
+            let type_name = if TypeId::of::<T>() == TypeId::of::<WireBuf>() {
+                "WireBuf"
+            } else {
+                std::any::type_name::<T>()
+            };
             board.enter(
                 self.rank,
                 Fingerprint {
                     kind,
-                    type_id,
+                    type_id: TypeId::of::<T>(),
                     type_name,
                     epoch,
                     location,
                 },
+            );
+        }
+        Instant::now()
+    }
+
+    /// Posts `value` on this rank's lane as its contribution to the next
+    /// collective, for exactly the `readers` ranks that will read it, and
+    /// returns the collective's epoch. Every collective posts once on
+    /// every rank; zero readers advances the epoch without depositing,
+    /// because a slot no one reads never retires.
+    fn post<V: Send + Sync + 'static>(&self, value: V, readers: usize) -> u64 {
+        let epoch = self.epoch.get();
+        self.epoch.set(epoch + 1);
+        if readers > 0 {
+            self.shared
+                .board
+                .deposit(self.rank, epoch, Arc::new(value), readers);
+        }
+        epoch
+    }
+
+    /// Reads rank `from`'s contribution to collective `epoch`, blocking
+    /// until it is posted.
+    fn read<V: Send + Sync + 'static>(&self, from: usize, epoch: u64) -> Arc<V> {
+        self.shared
+            .board
+            .collect(from, epoch)
+            .downcast::<V>()
+            .unwrap_or_else(|_| {
+                panic!(
+                    "exchange-board type mismatch reading rank {from} from rank {}: \
+                     ranks called different collectives (run under World::run_verified \
+                     to pinpoint it)",
+                    self.rank
+                )
+            })
+    }
+
+    /// Every rank's contribution to collective `epoch`, in rank order.
+    fn read_all<V: Clone + Send + Sync + 'static>(&self, epoch: u64) -> Vec<V> {
+        (0..self.size())
+            .map(|j| (*self.read::<V>(j, epoch)).clone())
+            .collect()
+    }
+
+    /// Bytes in the buffers of `bufs` indexed by a rank other than this
+    /// one — the off-rank share of a personalized or gathered payload.
+    fn off_rank_bytes<T>(&self, bufs: &[Vec<T>]) -> u64 {
+        let elem = size_of::<T>() as u64;
+        bufs.iter()
+            .enumerate()
+            .filter(|&(j, _)| j != self.rank)
+            .map(|(_, b)| b.len() as u64 * elem)
+            .sum()
+    }
+
+    /// Outbound half of every wire collective. `bufs` holds either one
+    /// buffer per destination rank or a single buffer every peer reads.
+    /// Books the send-side accounting, takes the end-to-end checksums
+    /// (verifier on), lets an armed corrupt fault flip a byte of an
+    /// off-rank payload, then seals off-rank payloads so large ones loan
+    /// their allocation to the receivers — in that order, see
+    /// docs/zero-copy.md. The own bucket is returned apart: it never
+    /// touches the board.
+    fn stage_wire(
+        &self,
+        kind: CollectiveKind,
+        mut bufs: Vec<WireBuf>,
+    ) -> (WireLane, WireBuf, Traffic) {
+        let shared = bufs.len() != self.size();
+        let peers = self.size() as u64 - 1;
+        let fanout = |j: usize| {
+            if shared {
+                peers
+            } else {
+                u64::from(j != self.rank)
+            }
+        };
+        let mut t = Traffic::default();
+        for (j, b) in bufs.iter().enumerate() {
+            t.bytes_out += b.logical_bytes * fanout(j);
+            t.wire_out += b.wire_bytes() * fanout(j);
+        }
+        // Checksums come from the shared verifier option, so every rank
+        // agrees on whether they exist; they are taken before any armed
+        // corrupt fault flips a byte, which is what the receivers' check
+        // exists to catch.
+        let sums = self
+            .shared
+            .verify
+            .as_ref()
+            .map(|_| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
+        let eligible = |j: usize, b: &WireBuf| fanout(j) > 0 && !b.bytes().is_empty();
+        let has_payload = bufs.iter().enumerate().any(|(j, b)| eligible(j, b));
+        let seed = self
+            .fault
+            .borrow()
+            .as_ref()
+            .and_then(|inj| inj.corrupt_seed(kind, has_payload));
+        if let Some(seed) = seed {
+            let b = bufs
+                .iter_mut()
+                .enumerate()
+                .find(|(j, b)| eligible(*j, b))
+                .map(|(_, b)| b)
+                .expect("has_payload checked");
+            let (i, mask) = corrupt_site(seed, b.bytes().len());
+            b.bytes_mut()[i] ^= mask;
+        }
+        for (j, b) in bufs.iter_mut().enumerate() {
+            if fanout(j) > 0 {
+                b.seal();
+                if b.is_loaned() {
+                    t.loaned_out += b.wire_bytes() * fanout(j);
+                }
+            }
+        }
+        // A shared buffer keeps a copy for this rank (a refcount bump once
+        // sealed); a personalized one moves the own bucket out.
+        let own = if shared {
+            bufs[0].clone()
+        } else {
+            std::mem::take(&mut bufs[self.rank])
+        };
+        t.copied_out = t.wire_out - t.loaned_out;
+        (WireLane { bufs, sums }, own, t)
+    }
+
+    /// Takes this rank's buffer out of a wire deposit read from local rank
+    /// `from`, checks its end-to-end checksum, and books the inbound
+    /// accounting. A loaned buffer clones as a refcount bump; a copied
+    /// (eager) one memcpys here, inside the collective wall.
+    fn pick_wire(&self, from: usize, lane: &WireLane, t: &mut Traffic) -> WireBuf {
+        let i = if lane.bufs.len() == 1 { 0 } else { self.rank };
+        let mine = lane.bufs[i].clone();
+        if let Some(sum) = lane.sums.as_ref().map(|s| s[i]) {
+            if fnv1a64(mine.bytes()) != sum {
+                let board = self
+                    .shared
+                    .verify
+                    .as_ref()
+                    .expect("wire checksums are only taken when the verifier is on");
+                board.raise_corruption(self.rank, self.verify_epoch.get().saturating_sub(1), from);
+            }
+        }
+        t.bytes_in += mine.logical_bytes;
+        t.wire_in += mine.wire_bytes();
+        if mine.is_loaned() {
+            t.loaned_in += mine.wire_bytes();
+        }
+        mine
+    }
+
+    /// Inbound half of the all-peer wire collectives: this rank's buffer
+    /// from every peer's epoch-`epoch` deposit, with `own` in its own
+    /// position.
+    fn collect_wire(&self, epoch: u64, own: WireBuf, t: &mut Traffic) -> Vec<WireBuf> {
+        let mut own = Some(own);
+        (0..self.size())
+            .map(|j| {
+                if j == self.rank {
+                    own.take().expect("own bucket moved once")
+                } else {
+                    self.pick_wire(j, &self.read::<WireLane>(j, epoch), t)
+                }
+            })
+            .collect()
+    }
+
+    /// Books one finished blocking collective: pushes its [`CommEvent`]
+    /// and emits its `Collective` trace span (send-side bytes).
+    fn record(&self, pattern: Pattern, t: Traffic, start: Instant) {
+        self.push_event(pattern, t, start.elapsed(), Duration::ZERO);
+        if let Some(tr) = self.tracer.borrow().as_ref() {
+            tr.lock().collective(
+                collective_tag(pattern),
+                start,
+                self.size() as u64,
+                t.bytes_out,
+                t.wire_out,
+                t.loaned_out,
+            );
+        }
+    }
+
+    fn push_event(&self, pattern: Pattern, t: Traffic, wall: Duration, hidden: Duration) {
+        self.stats.borrow_mut().events.push(CommEvent {
+            pattern,
+            group_size: self.size(),
+            bytes_out: t.bytes_out,
+            bytes_in: t.bytes_in,
+            wire_out: t.wire_out,
+            wire_in: t.wire_in,
+            wall,
+            hidden,
+            loaned_out: t.loaned_out,
+            copied_out: t.copied_out,
+        });
+    }
+
+    /// Emits one half of a nonblocking exchange's trace span pair.
+    fn trace_exchange(&self, kind: SpanKind, start: Instant, bytes: u64, wire: u64, loaned: u64) {
+        if let Some(tr) = self.tracer.borrow().as_ref() {
+            tr.lock().exchange(
+                kind,
+                CollectiveTag::Alltoallv,
+                start,
+                self.size() as u64,
+                bytes,
+                wire,
+                loaned,
             );
         }
     }
@@ -380,84 +638,10 @@ impl Comm {
             .unwrap_or_default()
     }
 
-    /// Fault hook at the top of every collective, **before** the verifier
-    /// rendezvous — so a delayed or fail-stopped rank is late *to* the
-    /// rendezvous and the verify watchdog names it, matching how real MPI
-    /// tools observe stragglers and dead processes. No-op (one `Option`
-    /// check) when no plan is armed.
-    #[inline]
-    #[track_caller]
-    fn fault_enter(&self, kind: CollectiveKind) {
-        let inj = self.fault.borrow().as_ref().cloned();
-        if let Some(inj) = inj {
-            inj.on_collective(kind, Location::caller());
-        }
-    }
-
-    /// The corruption half of the fault hook: called by the wire
-    /// collectives with `has_payload` = "some non-empty outbound buffer is
-    /// destined to another rank". Returns the seed when an armed corrupt
-    /// fault fires here.
-    fn corruption_seed(&self, kind: CollectiveKind, has_payload: bool) -> Option<u64> {
-        self.fault
-            .borrow()
-            .as_ref()
-            .and_then(|inj| inj.corrupt_seed(kind, has_payload))
-    }
-
-    /// Checksum of one outbound wire payload — taken only when the
-    /// verifier is on (the option is shared state, so every rank agrees),
-    /// and always *before* any corrupt fault flips a byte: the receiver's
-    /// end-to-end check exists to catch exactly that flip.
-    fn wire_checksum(&self, bytes: &[u8]) -> Option<u64> {
-        self.shared.verify.as_ref().map(|_| fnv1a64(bytes))
-    }
-
-    /// Receiver-side end-to-end check of one wire payload read from local
-    /// rank `source`. Raises a structured [`crate::VerifyFailure`] (kind
-    /// `Corruption`, naming the source's world rank) when the bytes do not
-    /// match the sender's pre-corruption checksum.
-    fn check_wire(&self, bytes: &[u8], sum: Option<u64>, source: usize) {
-        let Some(sum) = sum else { return };
-        if fnv1a64(bytes) != sum {
-            let board = self
-                .shared
-                .verify
-                .as_ref()
-                .expect("wire checksums are only taken when the verifier is on");
-            board.raise_corruption(self.rank, self.verify_epoch.get().saturating_sub(1), source);
-        }
-    }
-
-    /// Asserts the threading invariant documented on [`Comm`]: the
-    /// calling thread must be the one that created this handle.
-    fn assert_owner(&self) {
-        assert_eq!(
-            std::thread::current().id(),
-            self.owner,
-            "Comm collectives must be called from the rank's main thread \
-             (the thread that created the handle); pool worker threads \
-             must not communicate — see the threading invariant on Comm"
-        );
-    }
-
-    /// Asserts no nonblocking exchange is in flight on this handle. Every
-    /// collective entry point passes through here (via [`Comm::deposit`]
-    /// or [`Comm::barrier`]): the exchange board has one slot per rank, so
-    /// an interleaved collective would overwrite the in-flight buffers.
-    fn assert_no_inflight(&self) {
-        assert!(
-            !self.pending_exchange.get(),
-            "a nonblocking exchange is in flight on this communicator: \
-             call PendingExchange::wait() before issuing another collective"
-        );
-    }
-
     /// A standalone single-rank communicator: lets distributed code run
     /// unmodified in a serial context (tests, examples).
     pub fn single() -> Self {
-        let poison = Arc::new(Poison::default());
-        Self::new(Shared::new(1, poison), 0)
+        Self::new(Shared::new(1, Arc::new(Poison::default()), None), 0)
     }
 
     /// This rank's id in `0..size()`.
@@ -467,7 +651,7 @@ impl Comm {
 
     /// Number of ranks in this communicator.
     pub fn size(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.board.size()
     }
 
     /// Snapshot of the statistics recorded so far.
@@ -549,119 +733,17 @@ impl Comm {
         self.tracer.borrow_mut().take().map(|t| t.lock().drain())
     }
 
-    /// Emit the span for one finished collective (pattern, group size,
-    /// logical and wire bytes on the send side, and how many of the wire
-    /// bytes went out as zero-copy loans). Called from the same two choke
-    /// points that record [`CommEvent`]s.
-    fn trace_collective(
-        &self,
-        pattern: Pattern,
-        bytes: u64,
-        wire: u64,
-        loaned: u64,
-        start: Instant,
-    ) {
-        if let Some(t) = self.tracer.borrow().as_ref() {
-            t.lock().collective(
-                collective_tag(pattern),
-                start,
-                self.size() as u64,
-                bytes,
-                wire,
-                loaned,
-            );
-        }
-    }
-
-    fn record(&self, pattern: Pattern, bytes_out: u64, bytes_in: u64, start: Instant) {
-        // Plain collectives put their logical payload on the wire verbatim;
-        // only the wire collectives participate in loan accounting.
-        self.stats.borrow_mut().events.push(CommEvent {
-            pattern,
-            group_size: self.size(),
-            bytes_out,
-            bytes_in,
-            wire_out: bytes_out,
-            wire_in: bytes_in,
-            wall: start.elapsed(),
-            hidden: Duration::ZERO,
-            loaned_out: 0,
-            copied_out: 0,
-        });
-        self.trace_collective(pattern, bytes_out, bytes_out, 0, start);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_wire(
-        &self,
-        pattern: Pattern,
-        bytes_out: u64,
-        bytes_in: u64,
-        wire_out: u64,
-        wire_in: u64,
-        loaned_out: u64,
-        start: Instant,
-    ) {
-        self.stats.borrow_mut().events.push(CommEvent {
-            pattern,
-            group_size: self.size(),
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            wall: start.elapsed(),
-            hidden: Duration::ZERO,
-            loaned_out,
-            copied_out: wire_out - loaned_out,
-        });
-        self.trace_collective(pattern, bytes_out, wire_out, loaned_out, start);
-    }
-
-    /// First step of every data-bearing collective — which makes it the
-    /// single choke point (together with [`Comm::barrier`]) where the
-    /// owner-thread invariant is enforced.
-    fn deposit<T: Send + Sync + 'static>(&self, value: T) {
-        self.assert_owner();
-        self.assert_no_inflight();
-        *self.shared.slots[self.rank].lock() = Some(Arc::new(value));
-    }
-
-    fn read<T: Send + Sync + 'static>(&self, rank: usize) -> Arc<T> {
-        let guard = self.shared.slots[rank].lock();
-        let any = match guard.as_ref() {
-            Some(v) => v.clone(),
-            None => panic!(
-                "exchange-board slot of rank {rank} empty while rank {} was reading: \
-                 mismatched collective call (run under World::run_verified to pinpoint it)",
-                self.rank
-            ),
-        };
-        match any.downcast::<T>() {
-            Ok(v) => v,
-            Err(_) => panic!(
-                "exchange-board type mismatch reading rank {rank} from rank {}: \
-                 ranks called different collectives (run under World::run_verified \
-                 to pinpoint it)",
-                self.rank
-            ),
-        }
-    }
-
-    /// Pure synchronization barrier.
+    /// Pure synchronization barrier: a zero-byte collective that posts a
+    /// token for every peer and returns once it holds every peer's token,
+    /// i.e. once every rank has entered.
     #[track_caller]
     pub fn barrier(&self) {
-        self.assert_owner();
-        self.assert_no_inflight();
-        self.fault_enter(CollectiveKind::Barrier);
-        self.verify_enter(
-            CollectiveKind::Barrier,
-            TypeId::of::<()>(),
-            "()",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        self.shared.barrier.wait();
-        self.record(Pattern::Barrier, 0, 0, start);
+        let start = self.enter::<()>(CollectiveKind::Barrier);
+        let epoch = self.post((), self.size() - 1);
+        for j in (0..self.size()).filter(|&j| j != self.rank) {
+            self.read::<()>(j, epoch);
+        }
+        self.record(Pattern::Barrier, Traffic::default(), start);
     }
 
     /// Variable all-to-all: `bufs[j]` is this rank's payload for rank `j`
@@ -686,34 +768,14 @@ impl Comm {
     #[track_caller]
     pub fn alltoallv<T: Clone + Send + Sync + 'static>(&self, bufs: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::Alltoallv);
-        self.verify_enter(
-            CollectiveKind::Alltoallv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let bytes_out: u64 = bufs
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != self.rank)
-            .map(|(_, b)| b.len() as u64 * elem)
-            .sum();
-        self.deposit(bufs);
-        self.shared.barrier.wait();
-        let mut recv: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        let mut bytes_in = 0u64;
-        for j in 0..self.size() {
-            let theirs = self.read::<Vec<Vec<T>>>(j);
-            if j != self.rank {
-                bytes_in += theirs[self.rank].len() as u64 * elem;
-            }
-            recv.push(theirs[self.rank].clone());
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Alltoallv, bytes_out, bytes_in, start);
+        let start = self.enter::<T>(CollectiveKind::Alltoallv);
+        let bytes_out = self.off_rank_bytes(&bufs);
+        let epoch = self.post(bufs, self.size());
+        let recv: Vec<Vec<T>> = (0..self.size())
+            .map(|j| self.read::<Vec<Vec<T>>>(j, epoch)[self.rank].clone())
+            .collect();
+        let t = Traffic::plain(bytes_out, self.off_rank_bytes(&recv));
+        self.record(Pattern::Alltoallv, t, start);
         recv
     }
 
@@ -722,29 +784,12 @@ impl Comm {
     /// (Algorithm 3 line 6) runs this on the processor-column communicator.
     #[track_caller]
     pub fn allgatherv<T: Clone + Send + Sync + 'static>(&self, mine: Vec<T>) -> Vec<Vec<T>> {
-        self.fault_enter(CollectiveKind::Allgatherv);
-        self.verify_enter(
-            CollectiveKind::Allgatherv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let bytes_out = mine.len() as u64 * elem * (self.size() as u64 - 1);
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut all: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        let mut bytes_in = 0u64;
-        for j in 0..self.size() {
-            let theirs = self.read::<Vec<T>>(j);
-            if j != self.rank {
-                bytes_in += theirs.len() as u64 * elem;
-            }
-            all.push((*theirs).clone());
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Allgatherv, bytes_out, bytes_in, start);
+        let start = self.enter::<T>(CollectiveKind::Allgatherv);
+        let bytes_out = mine.len() as u64 * size_of::<T>() as u64 * (self.size() as u64 - 1);
+        let epoch = self.post(mine, self.size());
+        let all: Vec<Vec<T>> = self.read_all(epoch);
+        let t = Traffic::plain(bytes_out, self.off_rank_bytes(&all));
+        self.record(Pattern::Allgatherv, t, start);
         all
     }
 
@@ -767,32 +812,12 @@ impl Comm {
         mine: T,
         op: impl Fn(T, T) -> T,
     ) -> T {
-        self.fault_enter(CollectiveKind::Allreduce);
-        self.verify_enter(
-            CollectiveKind::Allreduce,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter::<T>(CollectiveKind::Allreduce);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc: Option<T> = None;
-        for j in 0..self.size() {
-            let v = (*self.read::<T>(j)).clone();
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        self.shared.barrier.wait();
-        self.record(
-            Pattern::Allreduce,
-            elem,
-            elem * (self.size() as u64 - 1),
-            start,
-        );
+        let epoch = self.post(mine, self.size());
+        let acc = self.read_all(epoch).into_iter().reduce(op);
+        let t = Traffic::plain(elem, elem * (self.size() as u64 - 1));
+        self.record(Pattern::Allreduce, t, start);
         acc.expect("communicator has at least one rank")
     }
 
@@ -806,27 +831,19 @@ impl Comm {
             self.rank == root,
             "exactly the root must supply the broadcast value"
         );
-        self.fault_enter(CollectiveKind::Broadcast);
-        self.verify_enter(
-            CollectiveKind::Broadcast,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter::<T>(CollectiveKind::Broadcast);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let value = (*self.read::<Option<T>>(root))
+        let is_root = self.rank == root;
+        let epoch = self.post(mine, if is_root { self.size() } else { 0 });
+        let value = (*self.read::<Option<T>>(root, epoch))
             .clone()
             .expect("root deposited Some");
-        self.shared.barrier.wait();
-        let (out, inn) = if self.rank == root {
-            (elem * (self.size() as u64 - 1), 0)
+        let t = if is_root {
+            Traffic::plain(elem * (self.size() as u64 - 1), 0)
         } else {
-            (0, elem)
+            Traffic::plain(0, elem)
         };
-        self.record(Pattern::Broadcast, out, inn, start);
+        self.record(Pattern::Broadcast, t, start);
         value
     }
 
@@ -835,33 +852,15 @@ impl Comm {
     #[track_caller]
     pub fn gather<T: Clone + Send + Sync + 'static>(&self, root: usize, mine: T) -> Option<Vec<T>> {
         assert!(root < self.size());
-        self.fault_enter(CollectiveKind::Gather);
-        self.verify_enter(
-            CollectiveKind::Gather,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter::<T>(CollectiveKind::Gather);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let result = if self.rank == root {
-            let mut all = Vec::with_capacity(self.size());
-            for j in 0..self.size() {
-                all.push((*self.read::<T>(j)).clone());
-            }
-            Some(all)
-        } else {
-            None
+        let epoch = self.post(mine, 1);
+        let result = (self.rank == root).then(|| self.read_all(epoch));
+        let t = match result {
+            Some(_) => Traffic::plain(0, elem * (self.size() as u64 - 1)),
+            None => Traffic::plain(elem, 0),
         };
-        self.shared.barrier.wait();
-        let (out, inn) = if self.rank == root {
-            (0, elem * (self.size() as u64 - 1))
-        } else {
-            (elem, 0)
-        };
-        self.record(Pattern::Gather, out, inn, start);
+        self.record(Pattern::Gather, t, start);
         result
     }
 
@@ -874,38 +873,16 @@ impl Comm {
         mine: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         assert!(root < self.size());
-        self.fault_enter(CollectiveKind::Gatherv);
-        self.verify_enter(
-            CollectiveKind::Gatherv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
+        let start = self.enter::<T>(CollectiveKind::Gatherv);
         let out = if self.rank == root {
             0
         } else {
-            mine.len() as u64 * elem
+            mine.len() as u64 * size_of::<T>() as u64
         };
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let (result, inn) = if self.rank == root {
-            let mut all = Vec::with_capacity(self.size());
-            let mut inn = 0;
-            for j in 0..self.size() {
-                let theirs = self.read::<Vec<T>>(j);
-                if j != self.rank {
-                    inn += theirs.len() as u64 * elem;
-                }
-                all.push((*theirs).clone());
-            }
-            (Some(all), inn)
-        } else {
-            (None, 0)
-        };
-        self.shared.barrier.wait();
-        self.record(Pattern::Gather, out, inn, start);
+        let epoch = self.post(mine, 1);
+        let result: Option<Vec<Vec<T>>> = (self.rank == root).then(|| self.read_all(epoch));
+        let inn = result.as_ref().map_or(0, |all| self.off_rank_bytes(all));
+        self.record(Pattern::Gather, Traffic::plain(out, inn), start);
         result
     }
 
@@ -926,40 +903,22 @@ impl Comm {
         if let Some(ref b) = bufs {
             assert_eq!(b.len(), self.size(), "need one buffer per rank");
         }
-        self.fault_enter(CollectiveKind::Scatterv);
-        self.verify_enter(
-            CollectiveKind::Scatterv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let out = bufs
-            .as_ref()
-            .map(|b| {
-                b.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != self.rank)
-                    .map(|(_, v)| v.len() as u64 * elem)
-                    .sum()
-            })
-            .unwrap_or(0);
-        self.deposit(bufs);
-        self.shared.barrier.wait();
+        let start = self.enter::<T>(CollectiveKind::Scatterv);
+        let is_root = self.rank == root;
+        let out = bufs.as_ref().map_or(0, |b| self.off_rank_bytes(b));
+        let epoch = self.post(bufs, if is_root { self.size() } else { 0 });
         let mine = self
-            .read::<Option<Vec<Vec<T>>>>(root)
+            .read::<Option<Vec<Vec<T>>>>(root, epoch)
             .as_ref()
             .as_ref()
             .expect("root deposited Some")[self.rank]
             .clone();
-        self.shared.barrier.wait();
-        let inn = if self.rank == root {
+        let inn = if is_root {
             0
         } else {
-            mine.len() as u64 * elem
+            mine.len() as u64 * size_of::<T>() as u64
         };
-        self.record(Pattern::Broadcast, out, inn, start);
+        self.record(Pattern::Broadcast, Traffic::plain(out, inn), start);
         mine
     }
 
@@ -972,23 +931,13 @@ impl Comm {
         init: T,
         op: impl Fn(T, T) -> T,
     ) -> T {
-        self.fault_enter(CollectiveKind::Exscan);
-        self.verify_enter(
-            CollectiveKind::Exscan,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter::<T>(CollectiveKind::Exscan);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc = init;
-        for j in 0..self.rank {
-            acc = op(acc, (*self.read::<T>(j)).clone());
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Allreduce, elem, elem * self.rank as u64, start);
+        // Only the ranks above read this rank's value.
+        let epoch = self.post(mine, self.size() - 1 - self.rank);
+        let acc = (0..self.rank).fold(init, |acc, j| op(acc, (*self.read::<T>(j, epoch)).clone()));
+        let t = Traffic::plain(elem, elem * self.rank as u64);
+        self.record(Pattern::Allreduce, t, start);
         acc
     }
 
@@ -1002,28 +951,17 @@ impl Comm {
         op: impl Fn(T, T) -> T,
     ) -> T {
         assert_eq!(mine.len(), self.size(), "need one contribution per rank");
-        self.fault_enter(CollectiveKind::ReduceScatter);
-        self.verify_enter(
-            CollectiveKind::ReduceScatter,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
+        let start = self.enter::<T>(CollectiveKind::ReduceScatter);
+        let peer_bytes = size_of::<T>() as u64 * (self.size() as u64 - 1);
+        let epoch = self.post(mine, self.size());
+        let acc = (0..self.size())
+            .map(|j| self.read::<Vec<T>>(j, epoch)[self.rank].clone())
+            .reduce(op);
+        self.record(
+            Pattern::Allreduce,
+            Traffic::plain(peer_bytes, peer_bytes),
+            start,
         );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let p = self.size() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc: Option<T> = None;
-        for j in 0..self.size() {
-            let v = self.read::<Vec<T>>(j)[self.rank].clone();
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Allreduce, elem * (p - 1), elem * (p - 1), start);
         acc.expect("communicator has at least one rank")
     }
 
@@ -1040,37 +978,26 @@ impl Comm {
         data: Vec<T>,
     ) -> Vec<T> {
         assert!(partner < self.size());
-        self.fault_enter(CollectiveKind::Sendrecv);
-        self.verify_enter(
-            CollectiveKind::Sendrecv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let bytes_out = if partner == self.rank {
-            0
-        } else {
-            data.len() as u64 * elem
-        };
-        self.deposit((partner, data));
-        self.shared.barrier.wait();
-        let theirs = self.read::<(usize, Vec<T>)>(partner);
+        let start = self.enter::<T>(CollectiveKind::Sendrecv);
+        // The diagonal self-exchange round-trips through the own lane but
+        // books no bytes.
+        let elem = u64::from(partner != self.rank) * size_of::<T>() as u64;
+        let bytes_out = data.len() as u64 * elem;
+        let epoch = self.post((partner, data), 1);
+        let theirs = self.read::<(usize, Vec<T>)>(partner, epoch);
+        self.assert_partner(theirs.0, partner);
+        let received = theirs.1.clone();
+        let t = Traffic::plain(bytes_out, received.len() as u64 * elem);
+        self.record(Pattern::PointToPoint, t, start);
+        received
+    }
+
+    fn assert_partner(&self, theirs: usize, partner: usize) {
         assert_eq!(
-            theirs.0, self.rank,
+            theirs, self.rank,
             "sendrecv partner mismatch: rank {} expected partner {} to point back",
             self.rank, partner
         );
-        let received = theirs.1.clone();
-        let bytes_in = if partner == self.rank {
-            0
-        } else {
-            received.len() as u64 * elem
-        };
-        self.shared.barrier.wait();
-        self.record(Pattern::PointToPoint, bytes_out, bytes_in, start);
-        received
     }
 
     /// Wire-aware variable all-to-all: like [`Comm::alltoallv`], but each
@@ -1081,94 +1008,20 @@ impl Comm {
     #[track_caller]
     pub fn alltoallv_wire(&self, bufs: Vec<WireBuf>) -> Vec<WireBuf> {
         assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::AlltoallvWire);
-        self.verify_enter(
-            CollectiveKind::AlltoallvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let mut bufs = bufs;
-        let (mut bytes_out, mut wire_out) = (0u64, 0u64);
-        for (j, b) in bufs.iter().enumerate() {
-            if j != self.rank {
-                bytes_out += b.logical_bytes;
-                wire_out += b.wire_bytes();
-            }
-        }
-        // End-to-end checksums (verifier on only), taken before any armed
-        // corrupt fault flips a byte in an off-rank buffer.
-        let sums: Option<Vec<u64>> = self
-            .shared
-            .verify
-            .as_ref()
-            .map(|_| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
-        let eligible = |j: usize, b: &WireBuf| j != self.rank && !b.bytes().is_empty();
-        let has_payload = bufs.iter().enumerate().any(|(j, b)| eligible(j, b));
-        if let Some(seed) = self.corruption_seed(CollectiveKind::AlltoallvWire, has_payload) {
-            let b = bufs
-                .iter_mut()
-                .enumerate()
-                .find(|(j, b)| eligible(*j, b))
-                .map(|(_, b)| b)
-                .expect("has_payload checked");
-            let (i, mask) = corrupt_site(seed, b.bytes().len());
-            b.bytes_mut()[i] ^= mask;
-        }
-        // The sender's own bucket is moved aside locally — it never touches
-        // the exchange board (its checksum slot goes unused).
-        let own = std::mem::take(&mut bufs[self.rank]);
-        // Seal after checksum + corruption: large off-rank buffers loan
-        // their allocation to the receivers instead of being cloned out of
-        // the board (see docs/zero-copy.md for the ordering argument).
-        let mut loaned_out = 0u64;
-        for (j, b) in bufs.iter_mut().enumerate() {
-            if j != self.rank {
-                b.seal();
-                if b.is_loaned() {
-                    loaned_out += b.wire_bytes();
-                }
-            }
-        }
-        self.deposit((bufs, sums));
-        self.shared.barrier.wait();
-        let mut recv: Vec<WireBuf> = Vec::with_capacity(self.size());
-        let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut own = Some(own);
-        for j in 0..self.size() {
-            if j == self.rank {
-                recv.push(own.take().expect("own bucket moved once"));
-                continue;
-            }
-            let theirs = self.read::<(Vec<WireBuf>, Option<Vec<u64>>)>(j);
-            // A loaned buffer clones as a refcount bump; a copied (eager)
-            // one memcpys here, inside the collective wall.
-            let mine = theirs.0[self.rank].clone();
-            self.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[self.rank]), j);
-            bytes_in += mine.logical_bytes;
-            wire_in += mine.wire_bytes();
-            recv.push(mine);
-        }
-        self.shared.barrier.wait();
-        self.record_wire(
-            Pattern::Alltoallv,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
-            start,
-        );
+        let start = self.enter::<WireBuf>(CollectiveKind::AlltoallvWire);
+        let (lane, own, mut t) = self.stage_wire(CollectiveKind::AlltoallvWire, bufs);
+        let epoch = self.post(lane, self.size() - 1);
+        let recv = self.collect_wire(epoch, own, &mut t);
+        self.record(Pattern::Alltoallv, t, start);
         recv
     }
 
     /// Starts a **nonblocking** wire all-to-all: deposits `bufs` (one
-    /// encoded [`WireBuf`] per destination rank) on the exchange board and
+    /// encoded [`WireBuf`] per destination rank) on the lane board and
     /// returns immediately with a [`PendingExchange`]. The caller overlaps
     /// local work — packing, sieving, encoding the next frontier chunk —
     /// with the in-flight exchange, then calls [`PendingExchange::wait`]
-    /// to rendezvous and collect what the peers sent.
+    /// to collect what the peers sent.
     ///
     /// Observer coverage mirrors [`Comm::alltoallv_wire`]:
     ///
@@ -1187,94 +1040,27 @@ impl Comm {
     ///   measure how much communication the overlap hid.
     ///
     /// At most one exchange may be in flight per communicator, and no
-    /// other collective may run on the handle while it is (asserted): the
-    /// exchange board has one slot per rank, so an interleaved collective
-    /// would overwrite the in-flight buffers.
+    /// other collective may run on the handle while it is (asserted).
     #[track_caller]
     pub fn ialltoallv_wire(&self, bufs: Vec<WireBuf>) -> PendingExchange<'_> {
         assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::IalltoallvWire);
-        self.verify_enter(
-            CollectiveKind::IalltoallvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let mut bufs = bufs;
-        let (mut bytes_out, mut wire_out) = (0u64, 0u64);
-        for (j, b) in bufs.iter().enumerate() {
-            if j != self.rank {
-                bytes_out += b.logical_bytes;
-                wire_out += b.wire_bytes();
-            }
-        }
-        // End-to-end checksums (verifier on only), taken before any armed
-        // corrupt fault flips a byte — receivers check them in `wait()`.
-        let sums: Option<Vec<u64>> = self
-            .shared
-            .verify
-            .as_ref()
-            .map(|_| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
-        let eligible = |j: usize, b: &WireBuf| j != self.rank && !b.bytes().is_empty();
-        let has_payload = bufs.iter().enumerate().any(|(j, b)| eligible(j, b));
-        if let Some(seed) = self.corruption_seed(CollectiveKind::IalltoallvWire, has_payload) {
-            let b = bufs
-                .iter_mut()
-                .enumerate()
-                .find(|(j, b)| eligible(*j, b))
-                .map(|(_, b)| b)
-                .expect("has_payload checked");
-            let (i, mask) = corrupt_site(seed, b.bytes().len());
-            b.bytes_mut()[i] ^= mask;
-        }
-        // Own bucket stays local (stashed on the pending handle until the
-        // wait); off-rank buffers seal after checksum + corruption so the
-        // ring hands receivers a loan instead of a copy.
-        let own = std::mem::take(&mut bufs[self.rank]);
-        let mut loaned_out = 0u64;
-        for (j, b) in bufs.iter_mut().enumerate() {
-            if j != self.rank {
-                b.seal();
-                if b.is_loaned() {
-                    loaned_out += b.wire_bytes();
-                }
-            }
-        }
-        self.assert_owner();
-        self.assert_no_inflight();
-        let epoch = self.exchange_epoch.get();
-        self.exchange_epoch.set(epoch + 1);
-        // The own bucket never round-trips through the ring, so only the
-        // size - 1 peers collect this slot; counting the depositor too
-        // would leave pending_reads stuck at 1 and the slot unretired,
-        // deadlocking the deposit two epochs later. A single-rank group
-        // has no peer readers at all — skip the board entirely.
-        if self.size() > 1 {
-            self.shared
-                .exchange
-                .deposit(self.rank, epoch, Arc::new((bufs, sums)), self.size() - 1);
-        }
+        let start = self.enter::<WireBuf>(CollectiveKind::IalltoallvWire);
+        let (lane, own, t) = self.stage_wire(CollectiveKind::IalltoallvWire, bufs);
+        let epoch = self.post(lane, self.size() - 1);
         self.pending_exchange.set(true);
-        if let Some(t) = self.tracer.borrow().as_ref() {
-            t.lock().exchange(
-                SpanKind::ExchangeStart,
-                CollectiveTag::Alltoallv,
-                start,
-                self.size() as u64,
-                bytes_out,
-                wire_out,
-                loaned_out,
-            );
-        }
+        self.trace_exchange(
+            SpanKind::ExchangeStart,
+            start,
+            t.bytes_out,
+            t.wire_out,
+            t.loaned_out,
+        );
         PendingExchange {
             comm: self,
             epoch,
             start_call: start.elapsed(),
             in_flight_since: Instant::now(),
-            bytes_out,
-            wire_out,
-            loaned_out,
+            traffic: t,
             own,
         }
     }
@@ -1283,56 +1069,11 @@ impl Comm {
     /// encoded payload. See [`Comm::alltoallv_wire`] for the accounting.
     #[track_caller]
     pub fn allgatherv_wire(&self, mine: WireBuf) -> Vec<WireBuf> {
-        self.fault_enter(CollectiveKind::AllgathervWire);
-        self.verify_enter(
-            CollectiveKind::AllgathervWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let mut mine = mine;
-        let peers = self.size() as u64 - 1;
-        let bytes_out = mine.logical_bytes * peers;
-        let wire_out = mine.wire_bytes() * peers;
-        let sum = self.wire_checksum(mine.bytes());
-        let has_payload = peers > 0 && !mine.bytes().is_empty();
-        if let Some(seed) = self.corruption_seed(CollectiveKind::AllgathervWire, has_payload) {
-            let (i, mask) = corrupt_site(seed, mine.bytes().len());
-            mine.bytes_mut()[i] ^= mask;
-        }
-        // Seal after checksum + corruption, then keep the own contribution
-        // locally (a refcount bump once sealed) — it never round-trips
-        // through the board.
-        mine.seal();
-        let loaned_out = if mine.is_loaned() { wire_out } else { 0 };
-        let own = mine.clone();
-        self.deposit((mine, sum));
-        self.shared.barrier.wait();
-        let mut all: Vec<WireBuf> = Vec::with_capacity(self.size());
-        let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut own = Some(own);
-        for j in 0..self.size() {
-            if j == self.rank {
-                all.push(own.take().expect("own contribution moved once"));
-                continue;
-            }
-            let theirs = self.read::<(WireBuf, Option<u64>)>(j);
-            self.check_wire(theirs.0.bytes(), theirs.1, j);
-            bytes_in += theirs.0.logical_bytes;
-            wire_in += theirs.0.wire_bytes();
-            all.push(theirs.0.clone());
-        }
-        self.shared.barrier.wait();
-        self.record_wire(
-            Pattern::Allgatherv,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
-            start,
-        );
+        let start = self.enter::<WireBuf>(CollectiveKind::AllgathervWire);
+        let (lane, own, mut t) = self.stage_wire(CollectiveKind::AllgathervWire, vec![mine]);
+        let epoch = self.post(lane, self.size() - 1);
+        let all = self.collect_wire(epoch, own, &mut t);
+        self.record(Pattern::Allgatherv, t, start);
         all
     }
 
@@ -1341,60 +1082,19 @@ impl Comm {
     #[track_caller]
     pub fn sendrecv_wire(&self, partner: usize, data: WireBuf) -> WireBuf {
         assert!(partner < self.size());
-        self.fault_enter(CollectiveKind::SendrecvWire);
-        self.verify_enter(
-            CollectiveKind::SendrecvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let mut data = data;
-        let (bytes_out, wire_out) = if partner == self.rank {
-            (0, 0)
+        let start = self.enter::<WireBuf>(CollectiveKind::SendrecvWire);
+        let mut bufs = vec![WireBuf::default(); self.size()];
+        bufs[partner] = data;
+        let (lane, own, mut t) = self.stage_wire(CollectiveKind::SendrecvWire, bufs);
+        let epoch = self.post((partner, lane), usize::from(partner != self.rank));
+        let received = if partner == self.rank {
+            own
         } else {
-            (data.logical_bytes, data.wire_bytes())
+            let theirs = self.read::<(usize, WireLane)>(partner, epoch);
+            self.assert_partner(theirs.0, partner);
+            self.pick_wire(partner, &theirs.1, &mut t)
         };
-        let sum = self.wire_checksum(data.bytes());
-        let has_payload = partner != self.rank && !data.bytes().is_empty();
-        if let Some(seed) = self.corruption_seed(CollectiveKind::SendrecvWire, has_payload) {
-            let (i, mask) = corrupt_site(seed, data.bytes().len());
-            data.bytes_mut()[i] ^= mask;
-        }
-        // Seal after checksum + corruption: the partner's clone becomes a
-        // refcount bump for large payloads (and so does the diagonal
-        // self-exchange's round trip).
-        data.seal();
-        let loaned_out = if partner != self.rank && data.is_loaned() {
-            wire_out
-        } else {
-            0
-        };
-        self.deposit((partner, data, sum));
-        self.shared.barrier.wait();
-        let theirs = self.read::<(usize, WireBuf, Option<u64>)>(partner);
-        assert_eq!(
-            theirs.0, self.rank,
-            "sendrecv partner mismatch: rank {} expected partner {} to point back",
-            self.rank, partner
-        );
-        let received = theirs.1.clone();
-        self.check_wire(received.bytes(), theirs.2, partner);
-        let (bytes_in, wire_in) = if partner == self.rank {
-            (0, 0)
-        } else {
-            (received.logical_bytes, received.wire_bytes())
-        };
-        self.shared.barrier.wait();
-        self.record_wire(
-            Pattern::PointToPoint,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
-            start,
-        );
+        self.record(Pattern::PointToPoint, t, start);
         received
     }
 
@@ -1408,13 +1108,7 @@ impl Comm {
     /// expand phase.
     #[track_caller]
     pub fn split(&self, color: u64, key: u64) -> Comm {
-        self.fault_enter(CollectiveKind::Split);
-        self.verify_enter(
-            CollectiveKind::Split,
-            TypeId::of::<()>(),
-            "()",
-            Location::caller(),
-        );
+        self.enter::<()>(CollectiveKind::Split);
         // Round 1: learn everyone's (color, key).
         let infos = self.allgather((color, key));
         let mut members: Vec<usize> = (0..self.size()).filter(|&r| infos[r].0 == color).collect();
@@ -1425,30 +1119,23 @@ impl Comm {
             .expect("self must be in own color group");
         let leader = members[0];
 
-        // Round 2: each group leader creates the shared state; members pick
-        // it up from the leader's world slot.
+        // Round 2: each group leader creates the shared state and posts it
+        // for its members, who read it from the leader's lane.
         let start = Instant::now();
-        let created: Option<Arc<Shared>> = if self.rank == leader {
+        let created: Option<Arc<Shared>> = (self.rank == leader).then(|| {
             // The child inherits verification: the leader derives a fresh
             // board (new group id, same timeout) and every member receives
             // it with the shared state, so sub-communicator collectives are
             // cross-checked exactly like world ones.
             let child_verify = self.shared.verify.as_ref().map(|b| b.child(&members));
-            Some(Shared::new_with_verify(
-                members.len(),
-                self.shared.poison.clone(),
-                child_verify,
-            ))
-        } else {
-            None
-        };
-        self.deposit(created);
-        self.shared.barrier.wait();
-        let group_shared = (*self.read::<Option<Arc<Shared>>>(leader))
+            Shared::new(members.len(), self.shared.poison.clone(), child_verify)
+        });
+        let readers = if created.is_some() { members.len() } else { 0 };
+        let epoch = self.post(created, readers);
+        let group_shared = (*self.read::<Option<Arc<Shared>>>(leader, epoch))
             .clone()
             .expect("leader deposited the group state");
-        self.shared.barrier.wait();
-        self.record(Pattern::Broadcast, 0, 0, start);
+        self.record(Pattern::Broadcast, Traffic::default(), start);
 
         let child = Comm::new(group_shared, my_group_rank);
         // Sub-communicator collectives record into the parent's trace and
@@ -1463,14 +1150,14 @@ impl Comm {
 
 /// An in-flight nonblocking wire exchange started by
 /// [`Comm::ialltoallv_wire`]. The outbound buffers are already deposited
-/// on the exchange ring; call [`PendingExchange::wait`] to collect what
-/// the peers sent. Dropping the handle without waiting leaves the
+/// on the lane board; call [`PendingExchange::wait`] to collect what the
+/// peers sent. Dropping the handle without waiting leaves the
 /// communicator unusable (the next collective asserts), mirroring a
 /// leaked `MPI_Request`.
 #[must_use = "a started exchange must be completed: call .wait() to collect the received buffers"]
 pub struct PendingExchange<'a> {
     comm: &'a Comm,
-    /// Ring epoch of this exchange on the communicator's exchange board.
+    /// Lane-board epoch of this exchange.
     epoch: u64,
     /// Wall time spent inside the start call — the exposed half of start,
     /// charged to the recorded event's `wall` together with the wait call.
@@ -1478,12 +1165,10 @@ pub struct PendingExchange<'a> {
     /// When the start call returned: the beginning of the in-flight window
     /// whose length `wait()` reports as overlap-hidden communication.
     in_flight_since: Instant,
-    bytes_out: u64,
-    wire_out: u64,
-    /// Wire bytes of the deposited buffers that sealed into loans.
-    loaned_out: u64,
+    /// Send-side accounting booked at the start.
+    traffic: Traffic,
     /// The sender's own bucket, held locally until the wait instead of
-    /// round-tripping through the exchange ring.
+    /// round-tripping through the board.
     own: WireBuf,
 }
 
@@ -1499,59 +1184,25 @@ impl PendingExchange<'_> {
     #[track_caller]
     pub fn wait(self) -> Vec<WireBuf> {
         let comm = self.comm;
-        comm.assert_owner();
         let entered = Instant::now();
         let hidden = entered.duration_since(self.in_flight_since);
-        comm.fault_enter(CollectiveKind::IalltoallvWireWait);
-        comm.verify_enter(
-            CollectiveKind::IalltoallvWireWait,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let mut recv: Vec<WireBuf> = Vec::with_capacity(comm.size());
-        let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut loaned_in = 0u64;
-        let mut own = Some(self.own);
-        for j in 0..comm.size() {
-            if j == comm.rank {
-                recv.push(own.take().expect("own bucket moved once"));
-                continue;
-            }
-            let theirs = comm.shared.exchange.collect(j, self.epoch);
-            let mine = theirs.0[comm.rank].clone();
-            comm.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[comm.rank]), j);
-            bytes_in += mine.logical_bytes;
-            wire_in += mine.wire_bytes();
-            if mine.is_loaned() {
-                loaned_in += mine.wire_bytes();
-            }
-            recv.push(mine);
-        }
+        comm.enter::<WireBuf>(CollectiveKind::IalltoallvWireWait);
+        let mut t = self.traffic;
+        let recv = comm.collect_wire(self.epoch, self.own, &mut t);
         comm.pending_exchange.set(false);
-        comm.stats.borrow_mut().events.push(CommEvent {
-            pattern: Pattern::Alltoallv,
-            group_size: comm.size(),
-            bytes_out: self.bytes_out,
-            bytes_in,
-            wire_out: self.wire_out,
-            wire_in,
-            wall: self.start_call + entered.elapsed(),
+        comm.push_event(
+            Pattern::Alltoallv,
+            t,
+            self.start_call + entered.elapsed(),
             hidden,
-            loaned_out: self.loaned_out,
-            copied_out: self.wire_out - self.loaned_out,
-        });
-        if let Some(t) = comm.tracer.borrow().as_ref() {
-            t.lock().exchange(
-                SpanKind::ExchangeWait,
-                CollectiveTag::Alltoallv,
-                entered,
-                comm.size() as u64,
-                bytes_in,
-                wire_in,
-                loaned_in,
-            );
-        }
+        );
+        comm.trace_exchange(
+            SpanKind::ExchangeWait,
+            entered,
+            t.bytes_in,
+            t.wire_in,
+            t.loaned_in,
+        );
         recv
     }
 }
@@ -1704,6 +1355,28 @@ mod tests {
                 wait.start_ns >= start.end_ns,
                 "wait begins after start returns"
             );
+        }
+    }
+
+    #[test]
+    fn only_wire_collectives_split_loaned_from_copied_bytes() {
+        let stats = World::run(2, |comm| {
+            comm.allreduce(1u64, |a, b| a + b);
+            let big = vec![7u8; 4096];
+            comm.alltoallv_wire(vec![WireBuf::new(big.clone(), 1), WireBuf::new(big, 1)]);
+            comm.allgatherv_wire(WireBuf::new(vec![1, 2, 3], 24));
+            comm.take_stats()
+        });
+        for s in &stats {
+            let plain = &s.events[0];
+            assert_eq!(
+                (plain.wire_out, plain.loaned_out, plain.copied_out),
+                (8, 0, 0)
+            );
+            for wire in &s.events[1..] {
+                assert!(wire.wire_out > 0);
+                assert_eq!(wire.loaned_out + wire.copied_out, wire.wire_out);
+            }
         }
     }
 

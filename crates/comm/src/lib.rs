@@ -9,9 +9,13 @@
 //! * Every rank runs on its own OS thread with *strictly private* state —
 //!   the rank closure receives only its [`Comm`] handle, and all inter-rank
 //!   data movement goes through explicit typed collectives.
-//! * Collectives rendezvous on a shared exchange board with a two-barrier
-//!   protocol (deposit → barrier → read → barrier), which makes the board
-//!   safely reusable and gives MPI's bulk-synchronous semantics exactly.
+//! * Every collective runs on one shared *lane board*: each rank posts
+//!   its contribution on its own two-slot lane for exactly the ranks that
+//!   will read it, readers take it from there, and the last reader
+//!   retires the slot. No barriers — a read waits only for the
+//!   depositor's post, and [`Comm::barrier`] is itself a zero-byte
+//!   collective. The observers below are applied once, in one entry hook
+//!   and one record, for every collective.
 //! * [`Comm::split`] mirrors `MPI_Comm_split`, providing the row and column
 //!   communicators of the 2D algorithm (§3.2).
 //! * The wire collectives are **zero-copy for large payloads**: a
@@ -63,16 +67,15 @@
 //! What this deliberately does **not** model in-process: network latency and
 //! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events).
 //! Overlap is modeled only at the granularity the BFS pipeline needs — one
-//! in-flight exchange per communicator, rendezvousing on a barrier-free
-//! depth-2 ring where a `wait()` blocks only until each peer has *started*
-//! the matching exchange (deposited its buffers), never on the peers' own
-//! waits — so pipelined chunks genuinely absorb encode-time skew instead
-//! of multiplying barrier count. There is no asynchronous progress thread.
+//! in-flight exchange per communicator, whose `wait()` blocks only until
+//! each peer has *started* the matching exchange (posted its buffers on
+//! the lane board), never on the peers' own waits — so pipelined chunks
+//! genuinely absorb encode-time skew instead of adding synchronization
+//! points. There is no asynchronous progress thread.
 
 #![warn(missing_docs)]
 
 pub mod algorithms;
-mod barrier;
 mod comm;
 mod exchange;
 pub mod fault;

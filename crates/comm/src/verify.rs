@@ -21,7 +21,7 @@
 //! disabled hook is one `Option` check per collective (bounded by the
 //! overhead test in `dmbfs-bfs` alongside the tracing one).
 
-use crate::barrier::Poison;
+use crate::exchange::Poison;
 use parking_lot::{Condvar, Mutex};
 use std::any::TypeId;
 use std::fmt;
@@ -333,10 +333,12 @@ impl VerifyWorld {
 }
 
 /// One slot per rank on the board. `ring` keeps the fingerprints of the
-/// two most recent epochs (indexed by parity): the bulk-synchronous
-/// two-barrier protocol inside every collective guarantees ranks are never
-/// more than one collective apart while a comparison is in flight, so two
-/// entries suffice. `latest` feeds the pending-ops dump.
+/// two most recent epochs (indexed by parity): [`VerifyBoard::enter`]
+/// returns only once every rank has recorded the epoch, so no rank can
+/// record epoch `e + 2` before every rank has left its epoch-`e`
+/// comparison — ranks are never more than one collective apart while a
+/// comparison is in flight, and two entries suffice. `latest` feeds the
+/// pending-ops dump.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     ring: [Option<Fingerprint>; 2],

@@ -1,7 +1,7 @@
 //! World launcher: one thread per rank, panic propagation.
 
-use crate::barrier::Poison;
 use crate::comm::{Comm, Shared};
+use crate::exchange::Poison;
 use crate::fault::{FailStopExit, InjectedFault};
 use crate::verify::{FailureKind, VerifyBoard, VerifyConfig, VerifyFailure, VerifyWorld};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -79,7 +79,7 @@ impl World {
         let poison = Arc::new(Poison::default());
         let board =
             verify.map(|config| VerifyBoard::new(p, 0, config, VerifyWorld::new(), poison.clone()));
-        let shared = Shared::new_with_verify(p, poison.clone(), board);
+        let shared = Shared::new(p, poison.clone(), board);
         let f = &f;
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
@@ -93,7 +93,7 @@ impl World {
                         // An injected fail-stop is a *silent* death: the
                         // rank vanishes without poisoning the world, so
                         // peers learn of it only by timing out (the verify
-                        // watchdog, or the barrier watchdog) — exactly a
+                        // watchdog, or the lane-board watchdog) — exactly a
                         // fail-stopped MPI process.
                         if result.as_ref().is_err_and(|e| !e.is::<FailStopExit>()) {
                             poison.set();

@@ -1,7 +1,7 @@
-//! Exhaustive interleaving check of the depth-2 exchange-ring protocol
-//! (`src/exchange.rs`), in the style of `loom`: enumerate *every*
-//! scheduler interleaving of an abstract model of the protocol and
-//! assert the safety properties the module documentation claims. The
+//! Exhaustive interleaving check of the lane board's two-slot ring
+//! protocol (`src/exchange.rs`), in the style of `loom`: enumerate
+//! *every* scheduler interleaving of an abstract model of the protocol
+//! and assert the safety properties the module documentation claims. The
 //! vendored offline build has no `loom`, so this is a small in-repo
 //! model checker instead: each rank's program is a deterministic
 //! sequence of atomic protocol steps (the real steps run under one lane
@@ -9,13 +9,20 @@
 //! choice of "which rank steps next" is the only nondeterminism, and a
 //! memoized depth-first search visits every reachable global state.
 //!
+//! Each epoch of a program has a reader set, one per shape of collective
+//! the board serves: read by every peer (all-to-all, barrier), gathered
+//! to rank 0, broadcast from rank 1, or exchanged pairwise.
+//!
 //! Properties checked, over all interleavings:
-//! 1. **Deposits never block** — the module-docs depth-2 claim: by the
-//!    time any rank deposits epoch `e + 2`, every lane's epoch-`e` slot
-//!    has retired. (A depth-1 ring violates this; the negative test
-//!    proves the checker can tell.)
+//! 1. **Deposits never block** when every epoch is read by every peer:
+//!    by the time any rank deposits epoch `e + 2`, every lane's
+//!    epoch-`e` slot has retired. (A depth-1 ring violates this; the
+//!    negative test proves the checker can tell.) Rooted epochs let a
+//!    depositor run two epochs ahead of a slow reader, so there the
+//!    deposit may wait — which is the flow control the next property
+//!    covers.
 //! 2. **No deadlock** — from every reachable state some rank can step
-//!    until all are done.
+//!    until all are done, for every mix of reader sets.
 //! 3. **Collects are exact** — a collect only ever observes the epoch it
 //!    wants (the `epoch % 2` slot never aliases a live older epoch).
 //! 4. **Retirement is exact** — a slot frees exactly when its last
@@ -36,18 +43,79 @@ struct State {
 }
 
 /// Where one rank is in its program: about to run step `step` of epoch
-/// `epoch`. Step 0 deposits; steps `1..ranks` collect from the peers in
-/// ring order — the same program `PendingExchange` runs (deposit in
-/// `ialltoallv_wire`, peer collects in `wait`).
+/// `epoch`. Step 0 deposits (if anyone reads this rank's lane); steps
+/// `1..` collect from the epoch's sources in order — the same program
+/// every collective runs (`Comm::post`, then `Comm::read`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct RankPc {
     epoch: u64,
     step: usize,
 }
 
+/// Who reads one epoch's deposits.
+#[derive(Clone, Copy, Debug)]
+enum Readers {
+    /// Every peer reads every lane; the own bucket stays local
+    /// (`ialltoallv_wire`, `barrier`).
+    All,
+    /// Every rank deposits for rank 0, which reads all lanes (`gather`).
+    GatherTo0,
+    /// Rank 1 deposits for every rank, itself included (`broadcast`).
+    BroadcastFrom1,
+    /// Rank `r` exchanges with `r ^ 1`; an unpaired last rank partners
+    /// itself and stays local (`sendrecv`).
+    Pairwise,
+}
+
+const ALL_READERS: [Readers; 4] = [
+    Readers::All,
+    Readers::GatherTo0,
+    Readers::BroadcastFrom1,
+    Readers::Pairwise,
+];
+
+impl Readers {
+    fn partner(ranks: usize, r: usize) -> usize {
+        if r ^ 1 < ranks {
+            r ^ 1
+        } else {
+            r
+        }
+    }
+
+    /// How many ranks read rank `r`'s deposit; 0 means no deposit.
+    fn readers(self, ranks: usize, r: usize) -> usize {
+        match self {
+            Readers::All => ranks - 1,
+            Readers::GatherTo0 => 1,
+            Readers::BroadcastFrom1 => usize::from(r == 1) * ranks,
+            Readers::Pairwise => usize::from(Self::partner(ranks, r) != r),
+        }
+    }
+
+    /// The lanes rank `r` collects from, in order.
+    fn sources(self, ranks: usize, r: usize) -> Vec<usize> {
+        match self {
+            Readers::All => (1..ranks).map(|k| (r + k) % ranks).collect(),
+            Readers::GatherTo0 if r == 0 => (0..ranks).collect(),
+            Readers::GatherTo0 => Vec::new(),
+            Readers::BroadcastFrom1 => vec![1],
+            Readers::Pairwise => {
+                let p = Self::partner(ranks, r);
+                if p == r {
+                    Vec::new()
+                } else {
+                    vec![p]
+                }
+            }
+        }
+    }
+}
+
 struct Model {
     ranks: usize,
-    epochs: u64,
+    /// The reader set of each epoch, in program order.
+    program: Vec<Readers>,
     depth: usize,
 }
 
@@ -69,15 +137,21 @@ impl Model {
         }
     }
 
-    fn done(&self, s: &State) -> bool {
-        s.ranks.iter().all(|r| r.epoch == self.epochs)
+    /// An all-read program of `epochs` epochs.
+    fn all_read(ranks: usize, epochs: usize, depth: usize) -> Self {
+        Self {
+            ranks,
+            program: vec![Readers::All; epochs],
+            depth,
+        }
     }
 
-    /// The peer rank `r` collects from at step `k` (1-based): ring order
-    /// starting after itself, skipping its own lane (the real protocol
-    /// keeps the own bucket local).
-    fn peer(&self, r: usize, k: usize) -> usize {
-        (r + k) % self.ranks
+    fn epochs(&self) -> u64 {
+        self.program.len() as u64
+    }
+
+    fn done(&self, s: &State) -> bool {
+        s.ranks.iter().all(|r| r.epoch == self.epochs())
     }
 
     /// Attempts rank `r`'s next atomic step. `None` = blocked (collect
@@ -85,11 +159,14 @@ impl Model {
     /// which is also recorded in `report`).
     fn step(&self, s: &State, r: usize, report: &mut Report) -> Option<State> {
         let pc = s.ranks[r];
-        if pc.epoch == self.epochs {
+        if pc.epoch == self.epochs() {
             return None; // finished
         }
+        let readers = self.program[pc.epoch as usize];
+        let sources = readers.sources(self.ranks, r);
         let mut next = s.clone();
-        if pc.step == 0 {
+        let wanted = readers.readers(self.ranks, r);
+        if pc.step == 0 && wanted > 0 {
             // deposit(r, epoch): claim the `epoch % depth` slot.
             let slot = &mut next.lanes[r][(pc.epoch as usize) % self.depth];
             if slot.is_some() {
@@ -100,10 +177,10 @@ impl Model {
                 report.deposit_blocked = true;
                 return None;
             }
-            *slot = Some((pc.epoch, self.ranks - 1));
-        } else {
-            // collect(peer, epoch).
-            let p = self.peer(r, pc.step);
+            *slot = Some((pc.epoch, wanted));
+        } else if pc.step > 0 {
+            // collect(source, epoch).
+            let p = sources[pc.step - 1];
             let slot = &mut next.lanes[p][(pc.epoch as usize) % self.depth];
             match slot {
                 Some((e, reads)) if *e == pc.epoch => {
@@ -131,7 +208,7 @@ impl Model {
         // Advance the program counter.
         let pc = &mut next.ranks[r];
         pc.step += 1;
-        if pc.step == self.ranks {
+        if pc.step == 1 + sources.len() {
             pc.step = 0;
             pc.epoch += 1;
         }
@@ -177,12 +254,7 @@ impl Model {
 #[test]
 #[cfg_attr(miri, ignore = "exhaustive state-space search is too slow under miri")]
 fn depth_two_ring_is_safe_under_every_interleaving() {
-    let report = Model {
-        ranks: 3,
-        epochs: 3,
-        depth: 2,
-    }
-    .check();
+    let report = Model::all_read(3, 3, 2).check();
     assert!(
         !report.deposit_blocked,
         "a deposit found its ring slot occupied ({} states)",
@@ -196,12 +268,7 @@ fn depth_two_ring_is_safe_under_every_interleaving() {
 #[test]
 #[cfg_attr(miri, ignore = "exhaustive state-space search is too slow under miri")]
 fn depth_two_ring_is_safe_for_four_ranks() {
-    let report = Model {
-        ranks: 4,
-        epochs: 2,
-        depth: 2,
-    }
-    .check();
+    let report = Model::all_read(4, 2, 2).check();
     assert!(!report.deposit_blocked && !report.deadlock);
 }
 
@@ -209,12 +276,7 @@ fn depth_two_ring_is_safe_for_four_ranks() {
 /// exercises the model itself.
 #[test]
 fn depth_two_ring_is_safe_for_two_ranks() {
-    let report = Model {
-        ranks: 2,
-        epochs: 2,
-        depth: 2,
-    }
-    .check();
+    let report = Model::all_read(2, 2, 2).check();
     assert!(!report.deposit_blocked && !report.deadlock);
 }
 
@@ -225,12 +287,7 @@ fn depth_two_ring_is_safe_for_two_ranks() {
 /// violation it exists to rule out.
 #[test]
 fn depth_one_ring_reaches_a_blocked_deposit() {
-    let report = Model {
-        ranks: 2,
-        epochs: 2,
-        depth: 1,
-    }
-    .check();
+    let report = Model::all_read(2, 2, 1).check();
     assert!(
         report.deposit_blocked,
         "a depth-1 ring must block a deposit somewhere in {} states",
@@ -241,4 +298,75 @@ fn depth_one_ring_reaches_a_blocked_deposit() {
         "blocking is transient, not a deadlock: the slow collector can \
          always run first"
     );
+}
+
+/// Every program of `epochs` epochs over the four reader sets.
+fn every_program(epochs: usize) -> Vec<Vec<Readers>> {
+    (0..epochs).fold(vec![Vec::new()], |programs, _| {
+        programs
+            .iter()
+            .flat_map(|p| {
+                ALL_READERS.iter().map(move |&r| {
+                    let mut next = p.clone();
+                    next.push(r);
+                    next
+                })
+            })
+            .collect()
+    })
+}
+
+/// Checks every mixed program of `epochs` epochs on `ranks` ranks:
+/// no deadlock under any interleaving, with exact collects and exact
+/// retirement asserted inside the search. Returns how many programs
+/// reached a deposit that had to wait for a slow reader.
+fn check_mixed_programs(ranks: usize, epochs: usize) -> usize {
+    let mut waited = 0;
+    for program in every_program(epochs) {
+        let report = Model {
+            ranks,
+            program: program.clone(),
+            depth: 2,
+        }
+        .check();
+        assert!(!report.deadlock, "{program:?} deadlocks on {ranks} ranks");
+        waited += usize::from(report.deposit_blocked);
+    }
+    waited
+}
+
+/// The lane board serves rooted collectives too: every program of 3
+/// epochs mixing all-read, gather, broadcast and pairwise epochs on 3
+/// ranks is deadlock-free under every interleaving, even though rooted
+/// epochs let depositors run ahead of slow readers and wait.
+#[test]
+#[cfg_attr(miri, ignore = "exhaustive state-space search is too slow under miri")]
+fn mixed_reader_sets_never_deadlock_for_three_ranks() {
+    let waited = check_mixed_programs(3, 3);
+    assert!(waited > 0, "some rooted program must exercise flow control");
+}
+
+/// Two ranks over 4 epochs: all 256 mixed programs.
+#[test]
+#[cfg_attr(miri, ignore = "exhaustive state-space search is too slow under miri")]
+fn mixed_reader_sets_never_deadlock_for_two_ranks() {
+    check_mixed_programs(2, 4);
+}
+
+/// The flow-control path itself: back-to-back gathers let the non-root
+/// deposit epochs 0 and 1 and then wait on epoch 2 until the root has
+/// read epoch 0 — a blocked deposit, but never a deadlock.
+#[test]
+fn rooted_run_ahead_waits_but_never_deadlocks() {
+    let report = Model {
+        ranks: 2,
+        program: vec![Readers::GatherTo0; 3],
+        depth: 2,
+    }
+    .check();
+    assert!(
+        report.deposit_blocked,
+        "the non-root must run ahead and wait"
+    );
+    assert!(!report.deadlock);
 }
