@@ -23,7 +23,6 @@ use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
 use dmbfs_graph::{Grid2D, RandomPermutation};
 use dmbfs_runtime::{Codec, DirectionMode, RunConfig};
 use serde::Serialize;
-use std::num::NonZeroUsize;
 
 /// Trials per point; each row keeps its fastest trial.
 const TRIALS: usize = 3;
@@ -53,7 +52,7 @@ fn main() {
 
     let mut points: Vec<SweepPoint> = Vec::new();
 
-    // bfs-1d axes: codec × sieve × overlap × direction × flat/hybrid,
+    // bfs-1d axes: codec × sieve × direction × flat/hybrid,
     // one move away from the default per point (not the full product).
     let base = RunConfig::flat(4).with_trace(true);
     points.push(bfs1d_point(&g, source, &base, TRIALS));
@@ -64,12 +63,6 @@ fn main() {
         TRIALS,
     ));
     points.push(bfs1d_point(&g, source, &base.with_sieve(false), TRIALS));
-    points.push(bfs1d_point(
-        &g,
-        source,
-        &base.with_overlap(NonZeroUsize::new(2)),
-        TRIALS,
-    ));
     points.push(bfs1d_point(
         &g,
         source,
@@ -108,8 +101,8 @@ fn main() {
     pr.trace = true;
     points.push(pagerank_point(&g, &pr, TRIALS));
 
-    // Every 1D top-down point must agree bit-for-bit: codec, sieve,
-    // overlap, and the thread pool are all transport/scheduling axes
+    // Every 1D top-down point must agree bit-for-bit: codec, sieve and
+    // the thread pool are all transport/scheduling axes
     // with no license to change the parent tree. (Direction-optimizing
     // and 2D points legitimately pick different — equally valid —
     // parents, so they are excluded; levels equality for those is
@@ -131,7 +124,6 @@ fn main() {
                 format!("{}x{}", p.ranks, p.threads_per_rank),
                 p.codec.clone(),
                 if p.sieve { "on" } else { "off" }.to_string(),
-                p.overlap.to_string(),
                 p.direction.clone(),
                 format!("{:.1}", p.seconds * 1e3),
                 p.wire_out.to_string(),
@@ -147,7 +139,6 @@ fn main() {
             "p x t",
             "codec",
             "sieve",
-            "K",
             "direction",
             "wall ms",
             "wire B",

@@ -36,8 +36,6 @@ pub struct SweepPoint {
     pub codec: String,
     /// Sender-side sieve on/off.
     pub sieve: bool,
-    /// Overlap pipeline depth; 0 = blocking exchange.
-    pub overlap: usize,
     /// Direction policy (`"topdown"` / `"bottomup"` / `"hybrid"`).
     pub direction: String,
     /// Trials run; the row keeps the minimum-wall trial.
@@ -102,7 +100,7 @@ struct Trial {
 /// asserts every trial produced the same output fingerprint.
 fn best_of(
     algorithm: &str,
-    cfg_row: (usize, usize, String, bool, usize, String),
+    cfg_row: (usize, usize, String, bool, String),
     trials: usize,
     mut trial: impl FnMut() -> Trial,
 ) -> SweepPoint {
@@ -118,14 +116,13 @@ fn best_of(
         .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
         .unwrap();
     let (bytes_out, wire_out, loaned_bytes, copied_bytes) = wire_ledger(&best.stats);
-    let (ranks, threads_per_rank, codec, sieve, overlap, direction) = cfg_row;
+    let (ranks, threads_per_rank, codec, sieve, direction) = cfg_row;
     SweepPoint {
         algorithm: algorithm.to_string(),
         ranks,
         threads_per_rank,
         codec,
         sieve,
-        overlap,
         direction,
         trials,
         seconds: best.seconds,
@@ -138,13 +135,12 @@ fn best_of(
     }
 }
 
-fn run_axes(cfg: &RunConfig) -> (usize, usize, String, bool, usize, String) {
+fn run_axes(cfg: &RunConfig) -> (usize, usize, String, bool, String) {
     (
         cfg.ranks,
         cfg.threads_per_rank,
         cfg.codec.name().to_string(),
         cfg.sieve,
-        cfg.overlap.map(|k| k.get()).unwrap_or(0),
         cfg.direction.name().to_string(),
     )
 }
@@ -175,7 +171,6 @@ pub fn bfs2d_point(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig, trials: us
         cfg.threads_per_rank,
         cfg.codec.name().to_string(),
         cfg.sieve,
-        cfg.overlap.map(|k| k.get()).unwrap_or(0),
         "topdown".to_string(),
     );
     best_of("bfs-2d", axes, trials, || {
@@ -234,7 +229,6 @@ pub fn pagerank_point(g: &CsrGraph, cfg: &PageRankConfig, trials: usize) -> Swee
         cfg.threads_per_rank,
         "off".to_string(),
         false,
-        0,
         "topdown".to_string(),
     );
     best_of("pagerank", axes, trials, || {

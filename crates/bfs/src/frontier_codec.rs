@@ -432,22 +432,6 @@ impl Sieve {
         seen
     }
 
-    /// Reads word `w` without marking it. The overlap pipeline filters
-    /// each chunk against the sieve read-only while an exchange is in
-    /// flight and defers the marking ([`Sieve::test_and_set_word`]) to the
-    /// end of the level, so chunking cannot change which duplicates are
-    /// dropped.
-    pub fn word(&self, w: usize) -> u64 {
-        self.bits[w].load(Ordering::Relaxed)
-    }
-
-    /// Counts `n` duplicates dropped without marking — the overlap
-    /// pipeline's read-only [`Sieve::word`] filter reports its drops here
-    /// so `sieve_hits` telemetry matches the blocking path.
-    pub fn count_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Number of duplicates dropped so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -648,10 +632,6 @@ mod tests {
         }
         assert_eq!(words.hits(), slots.hits());
         assert_eq!(words.hits(), 2);
-        assert_eq!(words.word(1), 0b1111, "word reads without marking");
-        assert_eq!(words.word(0), 0);
-        words.count_hits(3);
-        assert_eq!(words.hits(), 5);
     }
 
     #[test]

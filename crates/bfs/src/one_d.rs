@@ -21,7 +21,6 @@ use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode};
 use dmbfs_trace::{RankTrace, SpanKind};
 use rayon::prelude::*;
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
@@ -88,24 +87,13 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     assert!(cfg.ranks > 0);
     assert!((source) < g.num_vertices(), "source out of range");
     let ranks = cfg.ranks;
-    let codec = cfg.codec;
-    let sieve = cfg.sieve;
-    let overlap = cfg.overlap;
     let direction = cfg.direction;
 
     let run = run_ranks(cfg, |ctx| {
         let local = extract_1d(g, ranks, ctx.rank());
         let (levels, parents, num_levels, codec_levels) = ctx.timed(source, || {
-            rank_bfs(
-                ctx.comm(),
-                &local,
-                source,
-                ctx.pool(),
-                codec,
-                sieve,
-                overlap,
-                direction,
-            )
+            let search = Search::new(ctx.comm(), &local, ctx.pool(), cfg);
+            search.level_loop(source, direction)
         });
         (local.range.start, levels, parents, num_levels, codec_levels)
     });
@@ -130,450 +118,516 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     }
 }
 
-/// The per-rank level loop of Algorithm 2, or — under
-/// [`DirectionMode::Hybrid`] / [`DirectionMode::BottomUp`] — the
-/// direction-optimizing variant that swaps the frontier exchange for a
-/// bitmap broadcast plus owner-side scan on bottom-up levels.
-#[allow(clippy::too_many_arguments)]
-fn rank_bfs(
-    comm: &Comm,
-    local: &Local1d,
-    source: VertexId,
-    pool: Option<&rayon::ThreadPool>,
-    codec: Codec,
-    sieve: bool,
-    overlap: Option<NonZeroUsize>,
-    direction: DirectionMode,
-) -> (Vec<i64>, Vec<i64>, u32, Vec<LevelCodecStats>) {
-    let nloc = local.count();
-    let levels: Vec<AtomicI64> = (0..nloc).map(|_| AtomicI64::new(UNREACHED)).collect();
-    let parents: Vec<AtomicI64> = (0..nloc).map(|_| AtomicI64::new(UNREACHED)).collect();
-
-    // Lines 4–7: the owner seeds the frontier.
-    let mut frontier: Vec<VertexId> = Vec::new();
-    if local.block.owner(source) == comm.rank() {
-        let s = local.to_local(source);
-        levels[s].store(0, Ordering::Relaxed);
-        parents[s].store(source as i64, Ordering::Relaxed);
-        frontier.push(source);
-    }
-
-    // The codec exchange's per-search state; `Codec::Off` exchanges the
-    // packed pair buffers as they are.
-    let scratch =
-        (codec != Codec::Off).then(|| ExchangeScratch::new(local, sieve, overlap.is_some()));
-    let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
-
-    if direction != DirectionMode::TopDown {
-        let (num_levels, codec_levels) = hybrid_loop(
-            comm,
-            local,
-            frontier,
-            pool,
-            codec,
-            scratch.as_ref(),
-            overlap,
-            direction,
-            &levels,
-            &parents,
-        );
-        return (
-            levels.into_iter().map(AtomicI64::into_inner).collect(),
-            parents.into_iter().map(AtomicI64::into_inner).collect(),
-            num_levels,
-            codec_levels,
-        );
-    }
-
-    let mut level: i64 = 1;
-    loop {
-        comm.trace_enter_level(level - 1);
-        let level_t = comm.trace_start();
-        let level_start = Instant::now();
-        let comm_before = comm.comm_wall();
-        let next = top_down_level(
-            comm,
-            local,
-            &frontier,
-            codec,
-            scratch.as_ref(),
-            overlap,
-            level,
-            pool,
-            &levels,
-            &parents,
-            &mut codec_levels,
-        );
-        // Global termination test.
-        let global_next = comm.allreduce(next.len() as u64, |a, b| a + b);
-        // Attribute the level's wall time: everything outside collectives
-        // is local compute (pack, codec work, unpack).
-        let comm_spent = comm.comm_wall() - comm_before;
-        comm.push_level_timing(LevelTiming {
-            level: (level - 1) as u32,
-            compute: level_start.elapsed().saturating_sub(comm_spent),
-            comm: comm_spent,
-            direction: LevelDirection::TopDown,
-        });
-        comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-        if global_next == 0 {
-            comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-            break;
-        }
-        frontier = next;
-        level += 1;
-    }
-
-    (
-        levels.into_iter().map(AtomicI64::into_inner).collect(),
-        parents.into_iter().map(AtomicI64::into_inner).collect(),
-        level as u32,
-        codec_levels,
-    )
+/// One rank's state for one search: its communicator, its block of the
+/// graph, its thread pool, the owned level and parent arrays, and the
+/// codec exchange's scratch.
+struct Search<'a> {
+    comm: &'a Comm,
+    local: &'a Local1d,
+    pool: Option<&'a rayon::ThreadPool>,
+    levels: Vec<AtomicI64>,
+    parents: Vec<AtomicI64>,
+    /// The codec exchange's per-search state; `None` under `Codec::Off`,
+    /// which exchanges the packed pair buffers as they are.
+    scratch: Option<ExchangeScratch>,
 }
 
-/// One top-down level: pack the frontier's adjacencies by owner, exchange
-/// (blocking or through the overlap pipeline), and let owners claim the
-/// newly visited vertices. Returns the local slice of the next frontier.
-///
-/// With a codec on (`scratch` present) the pack already claims the
-/// targets this rank owns and deduplicates the rest into `scratch`, so
-/// only remote targets are encoded and the rank's own bucket travels
-/// empty; `Codec::Off` keeps the paper's plain typed exchange of every
-/// packed pair.
-#[allow(clippy::too_many_arguments)]
-fn top_down_level(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &[VertexId],
-    codec: Codec,
-    scratch: Option<&ExchangeScratch>,
-    overlap: Option<NonZeroUsize>,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    codec_levels: &mut Vec<LevelCodecStats>,
-) -> Vec<VertexId> {
-    // `scratch` exists iff the run's codec is on, so the arm taken is
-    // rank-invariant configuration.
-    // schedule: replicated
-    match (scratch, overlap) {
-        (None, _) => {
-            // Lines 13–19: enumerate adjacencies into per-destination
-            // buffers.
-            let pack_t = comm.trace_start();
-            let p = comm.size();
-            let send = match pool {
-                Some(pool) => {
-                    let batch_t = comm.trace_start();
-                    let send = pool.install(|| pack_parallel(local, frontier, p));
-                    comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                    send
-                }
-                None => pack_serial(local, frontier, p),
-            };
-            comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-            // Line 21: the all-to-all exchange of (target, parent) pairs.
-            let exchange_t = comm.trace_start();
-            let recv = comm.alltoallv(send);
-            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            unpack(comm, local, &recv, pool, levels, parents, level)
-        }
-        // The chunked double-buffered pipeline: pack + sieve + encode
-        // chunk c+1 while chunk c is in flight on the nonblocking
-        // exchange, decoding/unpacking completed chunks as they land.
-        (Some(scratch), Some(k)) => {
-            let (next, stats) = overlapped_level(
-                comm,
-                local,
-                frontier,
-                codec,
-                scratch,
-                level,
-                pool,
-                k.get(),
-                levels,
-                parents,
-            );
-            codec_levels.push(stats);
-            next
-        }
-        (Some(scratch), None) => {
-            let mut next = pack_claim(comm, local, frontier, scratch, pool, levels, parents, level);
-            // Line 21 through the codec pipeline: sieve → encode →
-            // exchange → decode.
-            let exchange_t = comm.trace_start();
-            let (recv, stats) = encode_exchange(comm, local, scratch, codec, level, pool);
-            codec_levels.push(stats);
-            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            next.extend(unpack(comm, local, &recv, pool, levels, parents, level));
-            next
-        }
-    }
+/// Sums three global counters at once: the one allreduce per level.
+fn add3(a: [u64; 3], b: [u64; 3]) -> [u64; 3] {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
 }
 
-/// The direction-optimizing level loop (Buluç–Beamer–Madduri,
-/// arXiv:1705.04590 §4 adapted to the 1D partition): each level runs
-/// either the top-down exchange of Algorithm 2 or a distributed bottom-up
-/// step — the global frontier is allgathered as a bitmap and every
-/// locally-owned unvisited vertex probes its in-neighbors against it,
-/// claiming a parent on the first hit.
-///
-/// The αβ switch replicates `crate::direction` exactly, but every input
-/// (frontier size, frontier out-edges, edges examined, explored edges) is
-/// a *global* count carried by one `[u64; 3]` allreduce per level, so all
-/// ranks compute the identical decision and the collective schedule stays
-/// symmetric with no extra broadcast. Level arrays therefore match the
-/// serial oracle; bottom-up parents are the first hit in CSR adjacency
-/// order, deterministic across rank counts.
-#[allow(clippy::too_many_arguments)]
-fn hybrid_loop(
-    comm: &Comm,
-    local: &Local1d,
-    mut frontier: Vec<VertexId>,
-    pool: Option<&rayon::ThreadPool>,
-    codec: Codec,
-    scratch: Option<&ExchangeScratch>,
-    overlap: Option<NonZeroUsize>,
-    direction: DirectionMode,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-) -> (u32, Vec<LevelCodecStats>) {
-    let dir_cfg = DirectionConfig::default();
-    // The graph's global vertex count is identical on every rank even
-    // though each rank holds a different block of it.
-    // schedule: replicated
-    let n_global = local.block.domain();
-    let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
-    let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
-    let out_edges =
-        |f: &[VertexId]| -> u64 { f.iter().map(|&u| local.neighbors(u).len() as u64).sum() };
+impl<'a> Search<'a> {
+    fn new(
+        comm: &'a Comm,
+        local: &'a Local1d,
+        pool: Option<&'a rayon::ThreadPool>,
+        cfg: &Bfs1dConfig,
+    ) -> Self {
+        let unreached = || {
+            (0..local.count())
+                .map(|_| AtomicI64::new(UNREACHED))
+                .collect()
+        };
+        Self {
+            comm,
+            local,
+            pool,
+            levels: unreached(),
+            parents: unreached(),
+            scratch: (cfg.codec != Codec::Off)
+                .then(|| ExchangeScratch::new(local, cfg.codec, cfg.sieve)),
+        }
+    }
 
-    // Seed the global heuristic state: one allreduce folds the edge total
-    // and the source frontier's size/out-edges together.
-    let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(
-        [
-            local.num_local_edges() as u64,
-            frontier.len() as u64,
-            out_edges(&frontier),
-        ],
-        add3,
-    );
-    let mut explored_edges = gfrontier_edges;
-    let mut reached = gfrontier;
-    let mut prev_gfrontier = 0u64;
-    let mut bottom_up = false;
-    let mut alpha_eff = dir_cfg.alpha.max(1);
-    let mut level: i64 = 1;
-    loop {
-        comm.trace_enter_level(level - 1);
-        let level_t = comm.trace_start();
-        let level_start = Instant::now();
-        let comm_before = comm.comm_wall();
-        // The per-level decision — identical on every rank because all of
-        // its inputs are allreduced global counts (see `crate::direction`
-        // for the heuristic's rationale).
-        match direction {
-            DirectionMode::BottomUp => bottom_up = true,
-            DirectionMode::Hybrid => {
-                let unexplored = total_edges.saturating_sub(explored_edges);
-                let growing = gfrontier > prev_gfrontier;
-                let unvisited = n_global - reached;
-                if !bottom_up
-                    && dir_cfg.alpha > 0
-                    && growing
-                    && gfrontier_edges > unexplored / alpha_eff
-                    && unvisited < gfrontier_edges
-                {
-                    bottom_up = true;
-                } else if bottom_up && dir_cfg.beta > 0 && gfrontier * dir_cfg.beta < n_global {
-                    bottom_up = false;
+    /// The level loop of Algorithm 2 with a per-level direction
+    /// (Buluç–Beamer–Madduri, arXiv:1705.04590 §4, adapted to the 1D
+    /// partition): each level runs either the top-down exchange or a
+    /// distributed bottom-up step — the global frontier is allgathered as
+    /// a bitmap and every locally-owned unvisited vertex probes its
+    /// in-neighbors against it, claiming a parent on the first hit.
+    /// [`DirectionMode::TopDown`] and [`DirectionMode::BottomUp`] pin the
+    /// direction; [`DirectionMode::Hybrid`] lets the αβ switch choose.
+    ///
+    /// The switch replicates `crate::direction` exactly, but every input
+    /// (frontier size, frontier out-edges, edges examined, explored edges)
+    /// is a *global* count carried by one `[u64; 3]` allreduce per level,
+    /// so all ranks compute the identical decision and the collective
+    /// schedule stays symmetric with no extra broadcast. The same
+    /// allreduce is the termination test, and every direction policy runs
+    /// it; only the switch reads the out-edge sums, so pinned runs send
+    /// zeros there. Level arrays match the serial oracle; bottom-up
+    /// parents are the first hit in CSR adjacency order, deterministic
+    /// across rank counts.
+    fn level_loop(
+        self,
+        source: VertexId,
+        direction: DirectionMode,
+    ) -> (Vec<i64>, Vec<i64>, u32, Vec<LevelCodecStats>) {
+        let (comm, local) = (self.comm, self.local);
+        // Lines 4–7: the owner seeds the frontier.
+        let mut frontier: Vec<VertexId> = Vec::new();
+        if local.block.owner(source) == comm.rank() {
+            let s = local.to_local(source);
+            self.levels[s].store(0, Ordering::Relaxed);
+            self.parents[s].store(source as i64, Ordering::Relaxed);
+            frontier.push(source);
+        }
+
+        let dir_cfg = DirectionConfig::default();
+        // The graph's global vertex count is identical on every rank even
+        // though each rank holds a different block of it.
+        // schedule: replicated
+        let n_global = local.block.domain();
+        let switch = direction == DirectionMode::Hybrid;
+        let out_edges = |f: &[VertexId]| -> u64 {
+            if switch {
+                f.iter().map(|&u| local.neighbors(u).len() as u64).sum()
+            } else {
+                0
+            }
+        };
+        let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
+
+        // Seed the global heuristic state: one allreduce folds the edge total
+        // and the source frontier's size/out-edges together.
+        let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(
+            [
+                local.num_local_edges() as u64,
+                frontier.len() as u64,
+                out_edges(&frontier),
+            ],
+            add3,
+        );
+        let mut explored_edges = gfrontier_edges;
+        let mut reached = gfrontier;
+        let mut prev_gfrontier = 0u64;
+        let mut bottom_up = false;
+        let mut alpha_eff = dir_cfg.alpha.max(1);
+        let mut level: i64 = 1;
+        loop {
+            comm.trace_enter_level(level - 1);
+            let level_t = comm.trace_start();
+            let level_start = Instant::now();
+            let comm_before = comm.comm_wall();
+            // The per-level decision — identical on every rank because all of
+            // its inputs are allreduced global counts (see `crate::direction`
+            // for the heuristic's rationale).
+            match direction {
+                DirectionMode::TopDown => {}
+                DirectionMode::BottomUp => bottom_up = true,
+                DirectionMode::Hybrid => {
+                    let unexplored = total_edges.saturating_sub(explored_edges);
+                    let growing = gfrontier > prev_gfrontier;
+                    let unvisited = n_global - reached;
+                    if !bottom_up
+                        && dir_cfg.alpha > 0
+                        && growing
+                        && gfrontier_edges > unexplored / alpha_eff
+                        && unvisited < gfrontier_edges
+                    {
+                        bottom_up = true;
+                    } else if bottom_up && dir_cfg.beta > 0 && gfrontier * dir_cfg.beta < n_global {
+                        bottom_up = false;
+                    }
                 }
             }
-            DirectionMode::TopDown => unreachable!("handled by the plain loop"),
-        }
-        prev_gfrontier = gfrontier;
-        let dir = if bottom_up {
-            LevelDirection::BottomUp
-        } else {
-            LevelDirection::TopDown
-        };
-        let dir_t = comm.trace_start();
-        comm.trace_span(SpanKind::Direction, dir_t, dir.tag());
+            prev_gfrontier = gfrontier;
+            let dir = if bottom_up {
+                LevelDirection::BottomUp
+            } else {
+                LevelDirection::TopDown
+            };
+            let dir_t = comm.trace_start();
+            comm.trace_span(SpanKind::Direction, dir_t, dir.tag());
 
-        let (next, examined_local) = if bottom_up {
-            let (next, examined) = bottom_up_level(
-                comm,
-                local,
-                &mut frontier,
-                level,
-                pool,
-                levels,
-                parents,
-                &mut codec_levels,
-            );
-            (next, examined)
-        } else {
-            // A top-down level examines every out-edge of the frontier —
-            // exactly this rank's packed adjacencies.
-            let examined = out_edges(&frontier);
-            let next = top_down_level(
-                comm,
-                local,
-                &frontier,
-                codec,
-                scratch,
-                overlap,
-                level,
-                pool,
-                levels,
-                parents,
-                &mut codec_levels,
-            );
-            (next, examined)
-        };
+            let (next, examined_local) = if bottom_up {
+                let (next, examined, stats) = self.bottom_up_level(&mut frontier, level);
+                codec_levels.push(stats);
+                (next, examined)
+            } else {
+                // A top-down level examines every out-edge of the frontier —
+                // exactly this rank's packed adjacencies.
+                let examined = out_edges(&frontier);
+                let (next, stats) = self.top_down_level(&frontier, level);
+                codec_levels.extend(stats);
+                (next, examined)
+            };
 
-        // Termination test + heuristic refresh in one collective: the next
-        // frontier's global size and out-edges, and the level's globally
-        // examined edges (for the adaptive backoff).
-        let [gnext, gnext_edges, gexamined] =
-            comm.allreduce([next.len() as u64, out_edges(&next), examined_local], add3);
-        explored_edges += gnext_edges;
-        reached += gnext;
-        if bottom_up && gexamined > gfrontier_edges {
-            // The round lost (same rule and floor as `crate::direction`):
-            // raise the re-entry bar and fall back to top-down.
-            alpha_eff = (alpha_eff / 8).max(1);
-            bottom_up = false;
-        }
-        let comm_spent = comm.comm_wall() - comm_before;
-        comm.push_level_timing(LevelTiming {
-            level: (level - 1) as u32,
-            compute: level_start.elapsed().saturating_sub(comm_spent),
-            comm: comm_spent,
-            direction: dir,
-        });
-        comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-        if gnext == 0 {
-            comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-            break;
-        }
-        gfrontier = gnext;
-        gfrontier_edges = gnext_edges;
-        frontier = next;
-        level += 1;
-    }
-    (level as u32, codec_levels)
-}
-
-/// One distributed bottom-up level. The rank's frontier slice (owned
-/// vertices at distance `level - 1`) travels as a [`Codec::Bitmap`]
-/// `encode_set` payload through one `allgatherv_wire`; the decoded slices
-/// form the global frontier bitmap, and the owner-side scan claims every
-/// locally-owned unvisited vertex whose adjacency hits the bitmap — first
-/// hit in CSR order, so parents are deterministic for any rank count.
-/// Returns the next local frontier and the number of edges examined.
-#[allow(clippy::too_many_arguments)]
-fn bottom_up_level(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &mut [VertexId],
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    codec_levels: &mut Vec<LevelCodecStats>,
-) -> (Vec<VertexId>, u64) {
-    // The set encoder wants sorted-unique vertices; claims arrive once per
-    // vertex, so sorting suffices.
-    frontier.sort_unstable();
-    let broadcast_t = comm.trace_start();
-    let mine = encode_set(frontier, local.range.clone(), Codec::Bitmap);
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    stats.note(&mine);
-    codec_levels.push(stats);
-    let slices = comm.allgatherv_wire(mine);
-    // Assemble the global frontier bitmap (one bit per vertex of the
-    // domain) from the decoded per-rank slices.
-    let domain = local.block.domain() as usize;
-    let mut bits = vec![0u64; domain.div_ceil(64)];
-    let mut global_frontier = 0u64;
-    for buf in &slices {
-        for v in decode_set(buf.bytes()).expect("corrupt frontier payload") {
-            bits[(v / 64) as usize] |= 1 << (v % 64);
-            global_frontier += 1;
-        }
-    }
-    comm.trace_span(SpanKind::BitmapBroadcast, broadcast_t, global_frontier);
-
-    // Owner-side scan: each unvisited owned vertex probes its adjacency
-    // against the bitmap, exiting at the first hit. Rows are independent
-    // (each claims only its own vertex), so the hybrid pool splits the
-    // owned range with no synchronization beyond the atomic stores.
-    let scan_t = comm.trace_start();
-    let in_frontier = |u: VertexId| bits[(u / 64) as usize] >> (u % 64) & 1 == 1;
-    let scan_one = |i: usize, next: &mut Vec<VertexId>, examined: &mut u64| {
-        if levels[i].load(Ordering::Relaxed) != UNREACHED {
-            return;
-        }
-        let v = local.to_global(i);
-        for &u in local.neighbors(v) {
-            *examined += 1;
-            if in_frontier(u) {
-                levels[i].store(level, Ordering::Relaxed);
-                parents[i].store(u as i64, Ordering::Relaxed);
-                next.push(v);
+            // Termination test + heuristic refresh in one collective: the next
+            // frontier's global size and out-edges, and the level's globally
+            // examined edges (for the adaptive backoff).
+            let [gnext, gnext_edges, gexamined] =
+                comm.allreduce([next.len() as u64, out_edges(&next), examined_local], add3);
+            explored_edges += gnext_edges;
+            reached += gnext;
+            if bottom_up && gexamined > gfrontier_edges {
+                // The round lost (same rule and floor as `crate::direction`):
+                // raise the re-entry bar and fall back to top-down.
+                alpha_eff = (alpha_eff / 8).max(1);
+                bottom_up = false;
+            }
+            let comm_spent = comm.comm_wall() - comm_before;
+            comm.push_level_timing(LevelTiming {
+                level: (level - 1) as u32,
+                compute: level_start.elapsed().saturating_sub(comm_spent),
+                comm: comm_spent,
+                direction: dir,
+            });
+            comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
+            if gnext == 0 {
+                comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
                 break;
             }
+            gfrontier = gnext;
+            gfrontier_edges = gnext_edges;
+            frontier = next;
+            level += 1;
         }
-    };
-    let (next, examined) = match pool {
-        Some(pool) => {
-            let batch_t = comm.trace_start();
-            let out = pool.install(|| {
-                (0..local.count())
-                    .into_par_iter()
-                    .with_min_len(64)
-                    .fold(
-                        || (Vec::new(), 0u64),
-                        |(mut next, mut examined), i| {
-                            scan_one(i, &mut next, &mut examined);
-                            (next, examined)
-                        },
-                    )
-                    .reduce(
-                        || (Vec::new(), 0u64),
-                        |(mut a, ae), (mut b, be)| {
-                            a.append(&mut b);
-                            (a, ae + be)
-                        },
-                    )
-            });
-            comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
-            out
-        }
-        None => {
-            let mut next = Vec::new();
-            let mut examined = 0u64;
-            for i in 0..local.count() {
-                scan_one(i, &mut next, &mut examined);
+        (
+            self.levels.into_iter().map(AtomicI64::into_inner).collect(),
+            self.parents
+                .into_iter()
+                .map(AtomicI64::into_inner)
+                .collect(),
+            level as u32,
+            codec_levels,
+        )
+    }
+
+    /// One top-down level: pack the frontier's adjacencies by owner,
+    /// exchange, and let owners claim the newly visited vertices. Returns
+    /// the local slice of the next frontier and, with a codec on, the
+    /// level's codec stats.
+    ///
+    /// With a codec on (`scratch` present) the pack already claims the
+    /// targets this rank owns and deduplicates the rest into `scratch`, so
+    /// only remote targets are encoded and the rank's own bucket travels
+    /// empty; `Codec::Off` keeps the paper's plain typed exchange of every
+    /// packed pair.
+    fn top_down_level(
+        &self,
+        frontier: &[VertexId],
+        level: i64,
+    ) -> (Vec<VertexId>, Option<LevelCodecStats>) {
+        let comm = self.comm;
+        // `scratch` exists iff the run's codec is on, so the arm taken is
+        // rank-invariant configuration.
+        // schedule: replicated
+        match &self.scratch {
+            None => {
+                // Lines 13–19: enumerate adjacencies into per-destination
+                // buffers.
+                let pack_t = comm.trace_start();
+                let (local, p) = (self.local, comm.size());
+                let send = match self.pool {
+                    Some(pool) => {
+                        let batch_t = comm.trace_start();
+                        let send = pool.install(|| pack_parallel(local, frontier, p));
+                        comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+                        send
+                    }
+                    None => pack_serial(local, frontier, p),
+                };
+                comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+                // Line 21: the all-to-all exchange of (target, parent) pairs.
+                let exchange_t = comm.trace_start();
+                let recv = comm.alltoallv(send);
+                let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+                comm.trace_span(SpanKind::Exchange, exchange_t, received);
+                (self.unpack(&recv, level), None)
             }
-            (next, examined)
+            Some(scratch) => {
+                let mut next = self.pack_claim(frontier, scratch, level);
+                // Line 21 through the codec pipeline: sieve → encode →
+                // exchange → decode.
+                let exchange_t = comm.trace_start();
+                let (recv, stats) = self.encode_exchange(scratch, level);
+                let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+                comm.trace_span(SpanKind::Exchange, exchange_t, received);
+                next.extend(self.unpack(&recv, level));
+                (next, Some(stats))
+            }
         }
-    };
-    comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
-    (next, examined)
+    }
+
+    /// One distributed bottom-up level. The rank's frontier slice (owned
+    /// vertices at distance `level - 1`) travels as a [`Codec::Bitmap`]
+    /// `encode_set` payload through one `allgatherv_wire`; the decoded slices
+    /// form the global frontier bitmap, and the owner-side scan claims every
+    /// locally-owned unvisited vertex whose adjacency hits the bitmap — first
+    /// hit in CSR order, so parents are deterministic for any rank count.
+    /// Returns the next local frontier, the number of edges examined and
+    /// the level's codec stats.
+    fn bottom_up_level(
+        &self,
+        frontier: &mut [VertexId],
+        level: i64,
+    ) -> (Vec<VertexId>, u64, LevelCodecStats) {
+        let (comm, local) = (self.comm, self.local);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        // The set encoder wants sorted-unique vertices; claims arrive once per
+        // vertex, so sorting suffices.
+        frontier.sort_unstable();
+        let broadcast_t = comm.trace_start();
+        let mine = encode_set(frontier, local.range.clone(), Codec::Bitmap);
+        let mut stats = LevelCodecStats {
+            level: level as usize,
+            ..Default::default()
+        };
+        stats.note(&mine);
+        let slices = comm.allgatherv_wire(mine);
+        // Assemble the global frontier bitmap (one bit per vertex of the
+        // domain) from the decoded per-rank slices.
+        let domain = local.block.domain() as usize;
+        let mut bits = vec![0u64; domain.div_ceil(64)];
+        let mut global_frontier = 0u64;
+        for buf in &slices {
+            for v in decode_set(buf.bytes()).expect("corrupt frontier payload") {
+                bits[(v / 64) as usize] |= 1 << (v % 64);
+                global_frontier += 1;
+            }
+        }
+        comm.trace_span(SpanKind::BitmapBroadcast, broadcast_t, global_frontier);
+
+        // Owner-side scan: each unvisited owned vertex probes its adjacency
+        // against the bitmap, exiting at the first hit. Rows are independent
+        // (each claims only its own vertex), so the hybrid pool splits the
+        // owned range with no synchronization beyond the atomic stores.
+        let scan_t = comm.trace_start();
+        let in_frontier = |u: VertexId| bits[(u / 64) as usize] >> (u % 64) & 1 == 1;
+        let scan_one = |i: usize, next: &mut Vec<VertexId>, examined: &mut u64| {
+            if levels[i].load(Ordering::Relaxed) != UNREACHED {
+                return;
+            }
+            let v = local.to_global(i);
+            for &u in local.neighbors(v) {
+                *examined += 1;
+                if in_frontier(u) {
+                    levels[i].store(level, Ordering::Relaxed);
+                    parents[i].store(u as i64, Ordering::Relaxed);
+                    next.push(v);
+                    break;
+                }
+            }
+        };
+        let (next, examined) = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let out = pool.install(|| {
+                    (0..local.count())
+                        .into_par_iter()
+                        .with_min_len(64)
+                        .fold(
+                            || (Vec::new(), 0u64),
+                            |(mut next, mut examined), i| {
+                                scan_one(i, &mut next, &mut examined);
+                                (next, examined)
+                            },
+                        )
+                        .reduce(
+                            || (Vec::new(), 0u64),
+                            |(mut a, ae), (mut b, be)| {
+                                a.append(&mut b);
+                                (a, ae + be)
+                            },
+                        )
+                });
+                comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
+                out
+            }
+            None => {
+                let mut next = Vec::new();
+                let mut examined = 0u64;
+                for i in 0..local.count() {
+                    scan_one(i, &mut next, &mut examined);
+                }
+                (next, examined)
+            }
+        };
+        comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
+        (next, examined, stats)
+    }
+
+    /// Codec-path packing (lines 13–19) with the owner's claim (lines 23–26)
+    /// folded in: a target this rank owns is claimed on the spot — its bucket
+    /// would only come back to this rank — and every other target is
+    /// deduplicated into `scratch`. Returns the vertices claimed, under a
+    /// Pack span.
+    fn pack_claim(
+        &self,
+        frontier: &[VertexId],
+        scratch: &ExchangeScratch,
+        level: i64,
+    ) -> Vec<VertexId> {
+        let (comm, local) = (self.comm, self.local);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        let pack_t = comm.trace_start();
+        let next = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let next = pool.install(|| {
+                    frontier
+                        .par_iter()
+                        .with_min_len(64)
+                        .fold(Vec::new, |mut next: Vec<VertexId>, &u| {
+                            for &v in local.neighbors(u) {
+                                if !local.range.contains(&v) {
+                                    scratch.touch(v, u);
+                                } else if claim_shared(levels, parents, local.to_local(v), level, u)
+                                {
+                                    next.push(v);
+                                }
+                            }
+                            next
+                        })
+                        .reduce(Vec::new, |mut a, mut b| {
+                            a.append(&mut b);
+                            a
+                        })
+                });
+                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+                next
+            }
+            None => {
+                let mut next = Vec::new();
+                for &u in frontier {
+                    for &v in local.neighbors(u) {
+                        if !local.range.contains(&v) {
+                            scratch.touch_serial(v, u);
+                        } else if claim_serial(levels, parents, local.to_local(v), level, u) {
+                            next.push(v);
+                        }
+                    }
+                }
+                next
+            }
+        };
+        comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+        next
+    }
+
+    /// The codec pipeline around the all-to-all: drain each remote
+    /// destination's deduplicated targets through the sieve into an encoded
+    /// buffer, exchange as wire bytes, decode. The rank's own bucket stays on
+    /// the board empty (its targets were claimed during the pack), so the
+    /// collective schedule is the same as for the plain exchange.
+    ///
+    /// Under a hybrid pool the per-destination encode and the receive-side
+    /// decode both fan out across pool threads: destinations are independent
+    /// (see [`ExchangeScratch`]). The collective itself stays on the rank's
+    /// main thread (the [`Comm`] threading invariant).
+    fn encode_exchange(
+        &self,
+        scratch: &ExchangeScratch,
+        level: i64,
+    ) -> (Vec<Vec<(u64, u64)>>, LevelCodecStats) {
+        let (comm, local) = (self.comm, self.local);
+        let encode_t = comm.trace_start();
+        let rank = comm.rank();
+        let encode_one = |j: usize| -> (WireBuf, u64) {
+            if j == rank {
+                (WireBuf::default(), 0)
+            } else {
+                scratch.encode(local.block.range(j))
+            }
+        };
+        let encoded: Vec<(WireBuf, u64)> = match self.pool {
+            Some(pool) => {
+                pool.install(|| (0..comm.size()).into_par_iter().map(encode_one).collect())
+            }
+            None => (0..comm.size()).map(encode_one).collect(),
+        };
+        let mut stats = LevelCodecStats {
+            level: level as usize,
+            ..Default::default()
+        };
+        let bufs = encoded
+            .into_iter()
+            .map(|(buf, dropped)| {
+                stats.sieve_hits += dropped;
+                stats.note(&buf);
+                buf
+            })
+            .collect();
+        comm.trace_span(SpanKind::Encode, encode_t, stats.sieve_hits);
+        let wire = comm.alltoallv_wire(bufs);
+        let decode_t = comm.trace_start();
+        let decode_one = |b: &WireBuf| decode_pairs(b.bytes()).expect("corrupt frontier payload");
+        let recv: Vec<Vec<(u64, u64)>> = match self.pool {
+            Some(pool) => pool.install(|| wire.par_iter().map(decode_one).collect()),
+            None => wire.iter().map(decode_one).collect(),
+        };
+        let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
+        comm.trace_span(SpanKind::Decode, decode_t, decoded);
+        (recv, stats)
+    }
+
+    /// Owners claim the newly visited vertices among received pairs (lines
+    /// 23–28), on the pool when there is one, under an Unpack span.
+    fn unpack(&self, recv: &[Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
+        let (comm, local) = (self.comm, self.local);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        let unpack_t = comm.trace_start();
+        let next = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+                let next = pool.install(|| {
+                    recv.par_iter()
+                        .flat_map_iter(|buf| buf.iter().copied())
+                        .fold(Vec::new, |mut next: Vec<VertexId>, (v, parent)| {
+                            if claim_shared(levels, parents, local.to_local(v), level, parent) {
+                                next.push(v);
+                            }
+                            next
+                        })
+                        .reduce(Vec::new, |mut a, mut b| {
+                            a.append(&mut b);
+                            a
+                        })
+                });
+                comm.trace_span(SpanKind::TaskBatch, batch_t, received);
+                next
+            }
+            None => {
+                let mut next = Vec::new();
+                for &(v, parent) in recv.iter().flatten() {
+                    if claim_serial(levels, parents, local.to_local(v), level, parent) {
+                        next.push(v);
+                    }
+                }
+                next
+            }
+        };
+        comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
+        next
+    }
 }
 
-/// Per-search state of the codec exchange, allocated once in `rank_bfs`
-/// next to `levels`/`parents`: the cross-level [`Sieve`] and the
-/// deduplication bitmap of remote targets.
+/// Per-search state of the codec exchange, allocated once per search
+/// next to `levels`/`parents`: the codec, the cross-level [`Sieve`] and
+/// the deduplication bitmap of remote targets.
 ///
 /// A pack marks each remote target `v` in `touched` and raises
 /// `best[slot(v)]` to its largest parent; the encode then walks each
@@ -587,6 +641,8 @@ fn bottom_up_level(
 /// other data: the pack, the encode and the next level are separate pool
 /// batches, ordered by the pool's join.
 struct ExchangeScratch {
+    /// Wire encoding of the remote buckets (never [`Codec::Off`]).
+    codec: Codec,
     /// One bit per global vertex: remote targets packed since their
     /// destination was last encoded. Only remote bits are ever set.
     touched: Vec<AtomicU64>,
@@ -598,23 +654,20 @@ struct ExchangeScratch {
     own: Range<u64>,
     /// Cross-level filter of targets already sent, when sieving.
     sieve: Option<Sieve>,
-    /// Overlap pipeline with a sieve only: targets emitted this level,
-    /// marked in the sieve at level end by [`ExchangeScratch::mark_sent`].
-    sent: Vec<AtomicU64>,
 }
 
 impl ExchangeScratch {
-    fn new(local: &Local1d, sieve: bool, overlap: bool) -> Self {
+    fn new(local: &Local1d, codec: Codec, sieve: bool) -> Self {
         let n = local.block.domain();
         let zeros = |len: u64| (0..len).map(|_| AtomicU64::new(0)).collect();
         Self {
+            codec,
             touched: zeros(n.div_ceil(64)),
             best: zeros(n - local.count() as u64),
             own: local.range.clone(),
             // One bit per global vertex: a vertex's owner is fixed, so
             // this also keys (vertex, destination) pairs.
             sieve: sieve.then(|| Sieve::new(n as usize)),
-            sent: zeros(if sieve && overlap { n.div_ceil(64) } else { 0 }),
         }
     }
 
@@ -657,11 +710,9 @@ impl ExchangeScratch {
     /// Drains the touched targets in `range` — one destination's owner
     /// range — into an encoded buffer: sieve them a word at a time, emit
     /// the survivors with their best parents in ascending order, and
-    /// clear the words. `defer` selects the overlap pipeline's contract:
-    /// the sieve is only read, and the emitted targets are recorded for
-    /// [`ExchangeScratch::mark_sent`]. Returns the buffer and the number
-    /// of targets the sieve dropped.
-    fn encode(&self, range: Range<u64>, codec: Codec, defer: bool) -> (WireBuf, u64) {
+    /// clear the words. Returns the buffer and the number of targets the
+    /// sieve dropped.
+    fn encode(&self, range: Range<u64>) -> (WireBuf, u64) {
         let mut dropped = 0u64;
         if let Some(sieve) = &self.sieve {
             for (w, mask) in words(range.clone()) {
@@ -669,18 +720,11 @@ impl ExchangeScratch {
                 if x == 0 {
                     continue;
                 }
-                let seen = if defer {
-                    sieve.word(w) & x
-                } else {
-                    sieve.test_and_set_word(w, x)
-                };
+                let seen = sieve.test_and_set_word(w, x);
                 if seen != 0 {
                     dropped += u64::from(seen.count_ones());
                     self.clear(w, seen);
                 }
-            }
-            if defer {
-                sieve.count_hits(dropped);
             }
         }
         let pairs = words(range.clone()).flat_map(|(w, mask)| {
@@ -689,14 +733,11 @@ impl ExchangeScratch {
                 (t, self.best[self.slot(t)].load(Ordering::Relaxed))
             })
         });
-        let buf = encode_pair_stream(pairs, range.clone(), codec);
+        let buf = encode_pair_stream(pairs, range.clone(), self.codec);
         for (w, mask) in words(range) {
             let x = self.touched[w].load(Ordering::Relaxed) & mask;
             if x != 0 {
                 self.clear(w, x);
-                if defer && self.sieve.is_some() {
-                    self.sent[w].fetch_or(x, Ordering::Relaxed);
-                }
             }
         }
         (buf, dropped)
@@ -707,20 +748,6 @@ impl ExchangeScratch {
         self.touched[w].fetch_and(!x, Ordering::Relaxed);
         for b in set_bits(x) {
             self.best[self.slot(64 * w as u64 + b)].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Overlap level end: marks every target emitted this level in the
-    /// sieve. None is there yet — the level filtered against the unmarked
-    /// sieve — so this counts no hits.
-    fn mark_sent(&self) {
-        if let Some(sieve) = &self.sieve {
-            for (w, word) in self.sent.iter().enumerate() {
-                let x = word.swap(0, Ordering::Relaxed);
-                if x != 0 {
-                    sieve.test_and_set_word(w, x);
-                }
-            }
         }
     }
 }
@@ -751,159 +778,6 @@ fn set_bits(mut x: u64) -> impl Iterator<Item = u64> + Clone {
             u64::from(b)
         })
     })
-}
-
-/// The codec pipeline around the all-to-all: drain each remote
-/// destination's deduplicated targets through the sieve into an encoded
-/// buffer, exchange as wire bytes, decode. The rank's own bucket stays on
-/// the board empty (its targets were claimed during the pack), so the
-/// collective schedule is the same as for the plain exchange.
-///
-/// Under a hybrid pool the per-destination encode and the receive-side
-/// decode both fan out across pool threads: destinations are independent
-/// (see [`ExchangeScratch`]). The collective itself stays on the rank's
-/// main thread (the [`Comm`] threading invariant).
-fn encode_exchange(
-    comm: &Comm,
-    local: &Local1d,
-    scratch: &ExchangeScratch,
-    codec: Codec,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-) -> (Vec<Vec<(u64, u64)>>, LevelCodecStats) {
-    let encode_t = comm.trace_start();
-    let (bufs, stats) = encode_level(comm, local, scratch, codec, level, pool, false);
-    comm.trace_span(SpanKind::Encode, encode_t, stats.sieve_hits);
-    let wire = comm.alltoallv_wire(bufs);
-    (decode(comm, &wire, pool), stats)
-}
-
-/// Encodes one buffer per destination from `scratch` (the own bucket
-/// empty), noting each in the level's codec stats; `defer` as in
-/// [`ExchangeScratch::encode`].
-fn encode_level(
-    comm: &Comm,
-    local: &Local1d,
-    scratch: &ExchangeScratch,
-    codec: Codec,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    defer: bool,
-) -> (Vec<WireBuf>, LevelCodecStats) {
-    let rank = comm.rank();
-    let encode_one = |j: usize| -> (WireBuf, u64) {
-        if j == rank {
-            (WireBuf::default(), 0)
-        } else {
-            scratch.encode(local.block.range(j), codec, defer)
-        }
-    };
-    let encoded: Vec<(WireBuf, u64)> = match pool {
-        Some(pool) => pool.install(|| (0..comm.size()).into_par_iter().map(encode_one).collect()),
-        None => (0..comm.size()).map(encode_one).collect(),
-    };
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    let bufs = encoded
-        .into_iter()
-        .map(|(buf, dropped)| {
-            stats.sieve_hits += dropped;
-            stats.note(&buf);
-            buf
-        })
-        .collect();
-    (bufs, stats)
-}
-
-/// Decodes one exchange's received buffers (fanned out across the pool
-/// when there is one) under a Decode span.
-fn decode(comm: &Comm, wire: &[WireBuf], pool: Option<&rayon::ThreadPool>) -> Vec<Vec<(u64, u64)>> {
-    let decode_t = comm.trace_start();
-    let decode_one = |b: &WireBuf| decode_pairs(b.bytes()).expect("corrupt frontier payload");
-    let recv: Vec<Vec<(u64, u64)>> = match pool {
-        Some(pool) => pool.install(|| wire.par_iter().map(decode_one).collect()),
-        None => wire.iter().map(decode_one).collect(),
-    };
-    let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
-    comm.trace_span(SpanKind::Decode, decode_t, decoded);
-    recv
-}
-
-/// One level of the chunked, double-buffered overlap pipeline: the
-/// frontier is split into `k` contiguous chunks; while chunk `c`'s wire
-/// buffers are in flight on the nonblocking [`Comm::ialltoallv_wire`],
-/// chunk `c + 1` is packed (claiming owned targets), sieved, and encoded,
-/// and each completed chunk is decoded and unpacked as it lands. Every
-/// rank runs exactly `k` start/wait pairs per level — chunks may be
-/// empty, but the collective schedule stays symmetric across ranks.
-///
-/// Bit-identity with the blocking path: the sieve is only *read*
-/// ([`Sieve::word`]) while chunks are in flight and the level's emitted
-/// targets are marked once at the end of the level, so chunk boundaries
-/// never change which pairs are dropped; and the claim / max-parent merge
-/// (see [`claim_serial`]) is order-independent, so delivering a level's
-/// pairs in `k` batches leaves the parent tree unchanged. A vertex
-/// targeted from two chunks is sent twice (the blocking path's
-/// whole-level dedup would have collapsed it) — extra wire bytes, never a
-/// different tree.
-#[allow(clippy::too_many_arguments)]
-fn overlapped_level(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &[VertexId],
-    codec: Codec,
-    scratch: &ExchangeScratch,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    k: usize,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-) -> (Vec<VertexId>, LevelCodecStats) {
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    let mut next: Vec<VertexId> = Vec::new();
-
-    let mut encode_chunk = |c: usize, next: &mut Vec<VertexId>| -> Vec<WireBuf> {
-        let (lo, hi) = (c * frontier.len() / k, (c + 1) * frontier.len() / k);
-        next.extend(pack_claim(
-            comm,
-            local,
-            &frontier[lo..hi],
-            scratch,
-            pool,
-            levels,
-            parents,
-            level,
-        ));
-        let encode_t = comm.trace_start();
-        let (bufs, chunk) = encode_level(comm, local, scratch, codec, level, pool, true);
-        comm.trace_span(SpanKind::Encode, encode_t, chunk.sieve_hits);
-        stats.merge(&chunk);
-        bufs
-    };
-    let decode_unpack = |wire: Vec<WireBuf>, next: &mut Vec<VertexId>| {
-        let recv = decode(comm, &wire, pool);
-        next.extend(unpack(comm, local, &recv, pool, levels, parents, level));
-    };
-
-    let mut pending = comm.ialltoallv_wire(encode_chunk(0, &mut next));
-    for c in 1..k {
-        // Encode chunk c while chunk c - 1 is in flight, then rotate the
-        // double buffer: collect c - 1, launch c, unpack c - 1 while c
-        // flies.
-        let bufs = encode_chunk(c, &mut next);
-        let wire = pending.wait();
-        pending = comm.ialltoallv_wire(bufs);
-        decode_unpack(wire, &mut next);
-    }
-    let wire = pending.wait();
-    decode_unpack(wire, &mut next);
-    scratch.mark_sent();
-    (next, stats)
 }
 
 /// Serial buffer packing (flat variant) for the plain exchange.
@@ -941,113 +815,6 @@ fn pack_parallel(local: &Local1d, frontier: &[VertexId], p: usize) -> Vec<Vec<(u
                 a
             },
         )
-}
-
-/// Codec-path packing (lines 13–19) with the owner's claim (lines 23–26)
-/// folded in: a target this rank owns is claimed on the spot — its bucket
-/// would only come back to this rank — and every other target is
-/// deduplicated into `scratch`. Returns the vertices claimed, under a
-/// Pack span.
-#[allow(clippy::too_many_arguments)]
-fn pack_claim(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &[VertexId],
-    scratch: &ExchangeScratch,
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    level: i64,
-) -> Vec<VertexId> {
-    let pack_t = comm.trace_start();
-    let next = match pool {
-        Some(pool) => {
-            let batch_t = comm.trace_start();
-            let next = pool.install(|| {
-                frontier
-                    .par_iter()
-                    .with_min_len(64)
-                    .fold(Vec::new, |mut next: Vec<VertexId>, &u| {
-                        for &v in local.neighbors(u) {
-                            if !local.range.contains(&v) {
-                                scratch.touch(v, u);
-                            } else if claim_shared(levels, parents, local.to_local(v), level, u) {
-                                next.push(v);
-                            }
-                        }
-                        next
-                    })
-                    .reduce(Vec::new, |mut a, mut b| {
-                        a.append(&mut b);
-                        a
-                    })
-            });
-            comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-            next
-        }
-        None => {
-            let mut next = Vec::new();
-            for &u in frontier {
-                for &v in local.neighbors(u) {
-                    if !local.range.contains(&v) {
-                        scratch.touch_serial(v, u);
-                    } else if claim_serial(levels, parents, local.to_local(v), level, u) {
-                        next.push(v);
-                    }
-                }
-            }
-            next
-        }
-    };
-    comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-    next
-}
-
-/// Owners claim the newly visited vertices among received pairs (lines
-/// 23–28), on the pool when there is one, under an Unpack span.
-fn unpack(
-    comm: &Comm,
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    level: i64,
-) -> Vec<VertexId> {
-    let unpack_t = comm.trace_start();
-    let next = match pool {
-        Some(pool) => {
-            let batch_t = comm.trace_start();
-            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            let next = pool.install(|| {
-                recv.par_iter()
-                    .flat_map_iter(|buf| buf.iter().copied())
-                    .fold(Vec::new, |mut next: Vec<VertexId>, (v, parent)| {
-                        if claim_shared(levels, parents, local.to_local(v), level, parent) {
-                            next.push(v);
-                        }
-                        next
-                    })
-                    .reduce(Vec::new, |mut a, mut b| {
-                        a.append(&mut b);
-                        a
-                    })
-            });
-            comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-            next
-        }
-        None => {
-            let mut next = Vec::new();
-            for &(v, parent) in recv.iter().flatten() {
-                if claim_serial(levels, parents, local.to_local(v), level, parent) {
-                    next.push(v);
-                }
-            }
-            next
-        }
-    };
-    comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
-    next
 }
 
 /// Claims owned vertex `i` for `level` from `parent`: the distance check
@@ -1122,10 +889,10 @@ mod tests {
     /// Rank 1 of 3 over a 1000-vertex domain: the owner ranges 0..333,
     /// 333..666 and 666..1000 all start or end mid-word, and remote
     /// targets lie on both sides of the own range.
-    fn scratch_fixture(sieve: bool, overlap: bool) -> (Local1d, ExchangeScratch) {
+    fn scratch_fixture(sieve: bool) -> (Local1d, ExchangeScratch) {
         let g = CsrGraph::from_edge_list(&EdgeList::new(1000, vec![]));
         let local = extract_1d(&g, 3, 1);
-        let scratch = ExchangeScratch::new(&local, sieve, overlap);
+        let scratch = ExchangeScratch::new(&local, Codec::Adaptive, sieve);
         (local, scratch)
     }
 
@@ -1158,11 +925,11 @@ mod tests {
 
     /// Encodes both remote destinations and decodes them back; returns
     /// the pairs in destination order and the sieve drops.
-    fn drain(local: &Local1d, scratch: &ExchangeScratch, defer: bool) -> (Vec<(u64, u64)>, u64) {
+    fn drain(local: &Local1d, scratch: &ExchangeScratch) -> (Vec<(u64, u64)>, u64) {
         let mut pairs = Vec::new();
         let mut dropped = 0;
         for j in [0, 2] {
-            let (buf, d) = scratch.encode(local.block.range(j), Codec::Adaptive, defer);
+            let (buf, d) = scratch.encode(local.block.range(j));
             pairs.extend(decode_pairs(buf.bytes()).unwrap());
             dropped += d;
         }
@@ -1171,7 +938,7 @@ mod tests {
 
     #[test]
     fn scratch_emits_sorted_max_parent_pairs_across_unaligned_ranges() {
-        let (local, scratch) = scratch_fixture(false, false);
+        let (local, scratch) = scratch_fixture(false);
         assert_eq!(local.range, 333..666);
         let edges = remote_edges(&local, 4000, 7);
         // Every edge twice, as in a multigraph, once through each packing
@@ -1180,7 +947,7 @@ mod tests {
             scratch.touch_serial(v, u);
             scratch.touch(v, u);
         }
-        let (pairs, dropped) = drain(&local, &scratch, false);
+        let (pairs, dropped) = drain(&local, &scratch);
         assert_eq!(dropped, 0);
         assert_eq!(pairs, sorted_max_parent(&edges));
         for t in [0, 332, 666, 999] {
@@ -1192,31 +959,28 @@ mod tests {
             .iter()
             .all(|w| w.load(Ordering::Relaxed) == 0));
         assert!(scratch.best.iter().all(|b| b.load(Ordering::Relaxed) == 0));
-        assert!(drain(&local, &scratch, false).0.is_empty());
+        assert!(drain(&local, &scratch).0.is_empty());
     }
 
     #[test]
     fn word_sieve_hits_match_the_per_pair_count() {
-        for defer in [false, true] {
-            let (local, scratch) = scratch_fixture(true, defer);
-            let reference = Sieve::new(1000);
-            for level in 0..4 {
-                let edges = remote_edges(&local, 300, 11 + level);
-                for &(v, u) in &edges {
-                    scratch.touch(v, u);
-                }
-                let before = reference.hits();
-                let mut expected = sorted_max_parent(&edges);
-                expected.retain(|&(t, _)| !reference.test_and_set(t as usize));
-                let (pairs, dropped) = drain(&local, &scratch, defer);
-                scratch.mark_sent();
-                assert_eq!(pairs, expected, "defer {defer}, level {level}");
-                assert_eq!(dropped, reference.hits() - before, "defer {defer}");
+        let (local, scratch) = scratch_fixture(true);
+        let reference = Sieve::new(1000);
+        for level in 0..4 {
+            let edges = remote_edges(&local, 300, 11 + level);
+            for &(v, u) in &edges {
+                scratch.touch(v, u);
             }
-            let sieve = scratch.sieve.as_ref().unwrap();
-            assert!(reference.hits() > 0);
-            assert_eq!(sieve.hits(), reference.hits(), "defer {defer}");
+            let before = reference.hits();
+            let mut expected = sorted_max_parent(&edges);
+            expected.retain(|&(t, _)| !reference.test_and_set(t as usize));
+            let (pairs, dropped) = drain(&local, &scratch);
+            assert_eq!(pairs, expected, "level {level}");
+            assert_eq!(dropped, reference.hits() - before, "level {level}");
         }
+        let sieve = scratch.sieve.as_ref().unwrap();
+        assert!(reference.hits() > 0);
+        assert_eq!(sieve.hits(), reference.hits());
     }
 
     #[test]
@@ -1277,18 +1041,69 @@ mod tests {
     #[test]
     fn run_reports_levels_and_alltoall_stats() {
         let g = rmat_graph(8, 2);
-        let run = bfs1d_run(&g, 0, &Bfs1dConfig::flat(4));
+        let run = bfs1d_run(&g, 0, &Bfs1dConfig::flat(4).with_trace(true));
         assert_eq!(run.per_rank_stats.len(), 4);
         assert!(run.seconds > 0.0);
         assert!(run.num_levels >= 2);
-        // Every rank performed one alltoallv per level.
-        for stats in &run.per_rank_stats {
-            let a2a = stats
+        // The timed region's collectives, barriers aside.
+        let schedule = |stats: &CommStats| -> Vec<Pattern> {
+            stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
-                .count();
-            assert_eq!(a2a as u32, run.num_levels);
+                .map(|e| e.pattern)
+                .filter(|&p| p != Pattern::Barrier)
+                .collect()
+        };
+        // Top-down: one seed allreduce, then one alltoallv and one
+        // allreduce per level, every allreduce carrying the `[u64; 3]`.
+        let mut expected = vec![Pattern::Allreduce];
+        for _ in 0..run.num_levels {
+            expected.extend([Pattern::Alltoallv, Pattern::Allreduce]);
+        }
+        for stats in &run.per_rank_stats {
+            assert_eq!(schedule(stats), expected);
+            for e in stats
+                .events
+                .iter()
+                .filter(|e| e.pattern == Pattern::Allreduce)
+            {
+                // One `[u64; 3]` out, one in from each of the 3 peers.
+                assert_eq!((e.bytes_out, e.bytes_in), (24, 24 * 3));
+            }
+        }
+        // The pinned switch: every level is top-down, and every level
+        // carries one Direction span saying so.
+        let dirs = run.level_directions();
+        assert_eq!(dirs.len() as u32, run.num_levels);
+        assert!(dirs.iter().all(|&d| d == LevelDirection::TopDown));
+        for t in &run.per_rank_trace {
+            let tags: Vec<u64> = t
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Direction)
+                .map(|s| s.detail)
+                .collect();
+            assert_eq!(tags, vec![LevelDirection::TopDown.tag(); dirs.len()]);
+        }
+        // Hybrid: the same schedule, with bottom-up levels allgathering
+        // the frontier bitmap in place of the alltoallv.
+        let run = bfs1d_run(
+            &rmat_graph(10, 7),
+            0,
+            &Bfs1dConfig::flat(4).with_direction(DirectionMode::Hybrid),
+        );
+        let dirs = run.level_directions();
+        assert!(dirs.contains(&LevelDirection::BottomUp));
+        let mut expected = vec![Pattern::Allreduce];
+        for d in &dirs {
+            expected.push(match d {
+                LevelDirection::TopDown => Pattern::Alltoallv,
+                LevelDirection::BottomUp => Pattern::Allgatherv,
+            });
+            expected.push(Pattern::Allreduce);
+        }
+        for stats in &run.per_rank_stats {
+            assert_eq!(schedule(stats), expected);
         }
     }
 
@@ -1447,72 +1262,22 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_composes_with_codec_sieve_and_overlap() {
+    fn hybrid_composes_with_codec_and_sieve() {
         let g = rmat_graph(9, 11);
         let expected = serial_bfs(&g, 2);
         for codec in [Codec::Off, Codec::Adaptive] {
-            for overlap in [None, std::num::NonZeroUsize::new(2)] {
+            for sieve in [true, false] {
                 let cfg = Bfs1dConfig::flat(4)
                     .with_direction(DirectionMode::Hybrid)
                     .with_codec(codec)
-                    .with_overlap(overlap);
+                    .with_sieve(sieve);
                 let run = bfs1d_run(&g, 2, &cfg);
                 assert_eq!(
                     run.output.levels, expected.levels,
-                    "codec {codec:?}, overlap {overlap:?}"
+                    "codec {codec:?}, sieve {sieve}"
                 );
                 validate_bfs(&g, 2, &run.output.parents, &run.output.levels).unwrap();
             }
-        }
-    }
-
-    #[test]
-    fn overlapped_runs_are_bit_identical_to_blocking() {
-        let g = rmat_graph(9, 11);
-        let baseline = bfs1d(&g, 2, &Bfs1dConfig::flat(4));
-        for k in [1usize, 2, 3, 8] {
-            let cfg = Bfs1dConfig::flat(4).with_overlap(std::num::NonZeroUsize::new(k));
-            let out = bfs1d(&g, 2, &cfg);
-            assert_eq!(out.parents, baseline.parents, "k = {k}");
-            assert_eq!(out.levels, baseline.levels, "k = {k}");
-        }
-        // Overlap composes with the hybrid pool and with sieving off.
-        let hybrid = bfs1d(
-            &g,
-            2,
-            &Bfs1dConfig::hybrid(3, 2)
-                .with_sieve(false)
-                .with_overlap(std::num::NonZeroUsize::new(2)),
-        );
-        assert_eq!(hybrid.levels, baseline.levels);
-    }
-
-    #[test]
-    fn overlapped_run_records_exchange_pairs_per_level() {
-        let g = rmat_graph(8, 2);
-        let k = 2u32;
-        let run = bfs1d_run(
-            &g,
-            0,
-            &Bfs1dConfig::flat(4)
-                .with_overlap(std::num::NonZeroUsize::new(k as usize))
-                .with_trace(true),
-        );
-        for t in &run.per_rank_trace {
-            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-            assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-            assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
-            assert_eq!(count(SpanKind::Exchange), 0, "no blocking exchange ran");
-        }
-        // Each rank records k alltoallv-pattern events per level, each with
-        // exposed wall and a (possibly zero) hidden window.
-        for stats in &run.per_rank_stats {
-            let a2a = stats
-                .events
-                .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
-                .count() as u32;
-            assert_eq!(a2a, k * run.num_levels);
         }
     }
 }

@@ -107,7 +107,6 @@ impl PageRankConfig {
             verify: self.verify,
             faults: self.faults,
             verify_timeout: self.verify_timeout,
-            overlap: None,
             direction: dmbfs_runtime::DirectionMode::TopDown,
             schedule_capture: false,
         }

@@ -107,12 +107,6 @@ pub struct Bfs2dConfig {
     pub faults: FaultPlan,
     /// Overrides the verifier's watchdog timeout (`None` = env default).
     pub verify_timeout: Option<Duration>,
-    /// Comm/compute overlap: `Some(k)` moves each level's fold exchange
-    /// through a `k`-chunk double-buffered pipeline on the nonblocking
-    /// `ialltoallv_wire` (encode chunk `c + 1` while chunk `c` is in
-    /// flight). `None` (the default) keeps the blocking fold. Parent trees
-    /// are bit-identical either way; ignored under [`Codec::Off`].
-    pub overlap: Option<std::num::NonZeroUsize>,
     /// Record the ordered collective-fingerprint sequence each rank
     /// issues (see [`dmbfs_runtime::RunConfig::schedule_capture`]).
     /// Strictly an observer.
@@ -134,7 +128,6 @@ impl Bfs2dConfig {
             verify: false,
             faults: FaultPlan::none(),
             verify_timeout: None,
-            overlap: None,
             schedule_capture: false,
         }
     }
@@ -184,13 +177,6 @@ impl Bfs2dConfig {
         self
     }
 
-    /// Sets the fold-exchange overlap chunk count (see
-    /// [`Bfs2dConfig::overlap`]); `None` disables the pipeline.
-    pub fn with_overlap(mut self, overlap: Option<std::num::NonZeroUsize>) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     /// Enables or disables collective-schedule capture (see
     /// [`Bfs2dConfig::schedule_capture`]).
     pub fn with_schedule_capture(mut self, capture: bool) -> Self {
@@ -216,7 +202,6 @@ impl Bfs2dConfig {
             verify: self.verify,
             faults: self.faults,
             verify_timeout: self.verify_timeout,
-            overlap: self.overlap,
             // The 2D SpMSV driver has no bottom-up step; its runtime view
             // is always top-down.
             direction: dmbfs_runtime::DirectionMode::TopDown,
@@ -522,79 +507,53 @@ impl RankState {
             work.spmsv_output += t.nnz() as u64;
             // Line 8: fold along the processor row to the vector owners.
             let fold_t = comm.trace_start();
-            let folded: Vec<Vec<(u64, u64)>> =
-                // Overlap depth and codec are shared config, not rank state.
-                // schedule: replicated
-                match self.cfg.overlap.filter(|_| codec != Codec::Off) {
-                    // The chunked double-buffered pipeline: the SpMSV output is
-                    // split into chunks, each chunk's encode overlaps the
-                    // previous chunk's in-flight exchange, and the decoded
-                    // pieces concatenate into the same multiset the blocking
-                    // fold delivers (the level-end mask below is a sort +
-                    // max-parent reduce, so batching cannot change the tree).
-                    Some(kc) => {
-                        let entries: Vec<(u64, u64)> = t.iter().collect();
-                        self.fold_overlapped(
-                            comm,
-                            row_comm,
-                            &entries,
-                            pool,
-                            kc.get(),
-                            fold_sieve.as_ref(),
-                            &mut lvl,
-                        )
+            let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); grid.cols()];
+            for (r, parent) in t.iter() {
+                if let Some(s) = fold_sieve.as_ref() {
+                    if s.test_and_set(r as usize) {
+                        lvl.sieve_hits += 1;
+                        continue;
                     }
-                    None => {
-                        let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); grid.cols()];
-                        for (r, parent) in t.iter() {
-                            if let Some(s) = fold_sieve.as_ref() {
-                                if s.test_and_set(r as usize) {
-                                    lvl.sieve_hits += 1;
-                                    continue;
-                                }
-                            }
-                            let g = self.block.row_range.start + r;
-                            let (oi, oj) = self.vector_owner(g);
-                            debug_assert_eq!(oi, i, "fold target must stay in the processor row");
-                            fold_bufs[oj].push((g, parent));
-                        }
-                        if codec == Codec::Off {
-                            row_comm.alltoallv(fold_bufs)
-                        } else {
-                            // Per-destination encodes are independent; fan them
-                            // out on the rank pool. The collective itself stays
-                            // on this (the rank's main) thread — see the Comm
-                            // threading invariant.
-                            let encode_t = comm.trace_start();
-                            let encode_one = |(oj, pairs): (usize, &Vec<(u64, u64)>)| -> WireBuf {
-                                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
-                            };
-                            let bufs: Vec<WireBuf> = match pool {
-                                Some(pool) => pool.install(|| {
-                                    fold_bufs.par_iter().enumerate().map(encode_one).collect()
-                                }),
-                                None => fold_bufs.iter().enumerate().map(encode_one).collect(),
-                            };
-                            for (oj, b) in bufs.iter().enumerate() {
-                                if oj != row_comm.rank() {
-                                    lvl.note(b);
-                                }
-                            }
-                            comm.trace_span(SpanKind::Encode, encode_t, lvl.sieve_hits);
-                            let wire = row_comm.alltoallv_wire(bufs);
-                            let decode_t = comm.trace_start();
-                            let out: Vec<Vec<(u64, u64)>> = match pool {
-                                Some(pool) => pool.install(|| {
-                                    wire.par_iter().map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload")).collect()
-                                }),
-                                None => wire.iter().map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload")).collect(),
-                            };
-                            let decoded: u64 = out.iter().map(|b| b.len() as u64).sum();
-                            comm.trace_span(SpanKind::Decode, decode_t, decoded);
-                            out
-                        }
-                    }
+                }
+                let g = self.block.row_range.start + r;
+                let (oi, oj) = self.vector_owner(g);
+                debug_assert_eq!(oi, i, "fold target must stay in the processor row");
+                fold_bufs[oj].push((g, parent));
+            }
+            let folded: Vec<Vec<(u64, u64)>> = if codec == Codec::Off {
+                row_comm.alltoallv(fold_bufs)
+            } else {
+                // Per-destination encodes are independent; fan them out on
+                // the rank pool. The collective itself stays on this (the
+                // rank's main) thread — see the Comm threading invariant.
+                let encode_t = comm.trace_start();
+                let encode_one = |(oj, pairs): (usize, &Vec<(u64, u64)>)| -> WireBuf {
+                    encode_pairs(pairs, self.owner_vrange(i, oj), codec)
                 };
+                let bufs: Vec<WireBuf> = match pool {
+                    Some(pool) => {
+                        pool.install(|| fold_bufs.par_iter().enumerate().map(encode_one).collect())
+                    }
+                    None => fold_bufs.iter().enumerate().map(encode_one).collect(),
+                };
+                for (oj, b) in bufs.iter().enumerate() {
+                    if oj != row_comm.rank() {
+                        lvl.note(b);
+                    }
+                }
+                comm.trace_span(SpanKind::Encode, encode_t, lvl.sieve_hits);
+                let wire = row_comm.alltoallv_wire(bufs);
+                let decode_t = comm.trace_start();
+                let decode_one =
+                    |b: &WireBuf| decode_pairs(b.bytes()).expect("corrupt frontier payload");
+                let out: Vec<Vec<(u64, u64)>> = match pool {
+                    Some(pool) => pool.install(|| wire.par_iter().map(decode_one).collect()),
+                    None => wire.iter().map(decode_one).collect(),
+                };
+                let decoded: u64 = out.iter().map(|b| b.len() as u64).sum();
+                comm.trace_span(SpanKind::Decode, decode_t, decoded);
+                out
+            };
             if codec != Codec::Off {
                 codec_levels.push(lvl);
             }
@@ -656,98 +615,6 @@ impl RankState {
             VectorDistribution::TwoD => self.block.map.vector_range(i, oj),
             VectorDistribution::Diagonal => self.block.map.diagonal_range(i, oj),
         }
-    }
-
-    /// The fold phase as a `k`-chunk double-buffered pipeline on the
-    /// nonblocking row exchange: while chunk `c`'s wire buffers are in
-    /// flight, chunk `c + 1` is sieved and encoded, and completed chunks
-    /// are decoded as they land. Every rank of the row runs exactly `k`
-    /// start/wait pairs per level (collective symmetry with empty chunks).
-    ///
-    /// Bit-identity with the blocking fold: the SpMSV output lists each
-    /// local row at most once per level, so the per-chunk
-    /// [`Sieve::test_and_set`] drops exactly the rows the whole-level pass
-    /// would; and the decoded chunks concatenate into the same pair
-    /// multiset, which the caller's sort + max-parent mask reduces
-    /// identically.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_overlapped(
-        &self,
-        comm: &Comm,
-        row_comm: &Comm,
-        entries: &[(u64, u64)],
-        pool: Option<&rayon::ThreadPool>,
-        k: usize,
-        sieve: Option<&Sieve>,
-        lvl: &mut LevelCodecStats,
-    ) -> Vec<Vec<(u64, u64)>> {
-        let (i, _) = self.coords;
-        let codec = self.cfg.codec;
-        let cols = self.cfg.grid.cols();
-
-        let encode_chunk = |c: usize, lvl: &mut LevelCodecStats| -> Vec<WireBuf> {
-            let (lo, hi) = (c * entries.len() / k, (c + 1) * entries.len() / k);
-            let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cols];
-            for &(r, parent) in &entries[lo..hi] {
-                if let Some(s) = sieve {
-                    if s.test_and_set(r as usize) {
-                        lvl.sieve_hits += 1;
-                        continue;
-                    }
-                }
-                let g = self.block.row_range.start + r;
-                let (oi, oj) = self.vector_owner(g);
-                debug_assert_eq!(oi, i, "fold target must stay in the processor row");
-                fold_bufs[oj].push((g, parent));
-            }
-            let encode_t = comm.trace_start();
-            let encode_one = |(oj, pairs): (usize, &Vec<(u64, u64)>)| -> WireBuf {
-                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
-            };
-            let bufs: Vec<WireBuf> = match pool {
-                Some(pool) => {
-                    pool.install(|| fold_bufs.par_iter().enumerate().map(encode_one).collect())
-                }
-                None => fold_bufs.iter().enumerate().map(encode_one).collect(),
-            };
-            for (oj, b) in bufs.iter().enumerate() {
-                if oj != row_comm.rank() {
-                    lvl.note(b);
-                }
-            }
-            comm.trace_span(SpanKind::Encode, encode_t, lvl.sieve_hits);
-            bufs
-        };
-
-        let decode_chunk = |wire: Vec<WireBuf>, decoded: &mut Vec<Vec<(u64, u64)>>| {
-            let decode_t = comm.trace_start();
-            let out: Vec<Vec<(u64, u64)>> = match pool {
-                Some(pool) => pool.install(|| {
-                    wire.par_iter()
-                        .map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload"))
-                        .collect()
-                }),
-                None => wire
-                    .iter()
-                    .map(|b| decode_pairs(b.bytes()).expect("corrupt frontier payload"))
-                    .collect(),
-            };
-            let n: u64 = out.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Decode, decode_t, n);
-            decoded.extend(out);
-        };
-
-        let mut decoded: Vec<Vec<(u64, u64)>> = Vec::with_capacity(k * cols);
-        let mut pending = row_comm.ialltoallv_wire(encode_chunk(0, lvl));
-        for c in 1..k {
-            let bufs = encode_chunk(c, lvl);
-            let wire = pending.wait();
-            pending = row_comm.ialltoallv_wire(bufs);
-            decode_chunk(wire, &mut decoded);
-        }
-        let wire = pending.wait();
-        decode_chunk(wire, &mut decoded);
-        decoded
     }
 
     /// Line 5: sends each owned frontier entry toward the processor column
@@ -929,49 +796,6 @@ mod tests {
                     assert_eq!(e.group_size, 2);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn overlapped_fold_is_bit_identical_to_blocking() {
-        let g = rmat_graph(9, 17);
-        let baseline = bfs2d(&g, 1, &Bfs2dConfig::flat(Grid2D::new(2, 2)));
-        for k in [1usize, 2, 4] {
-            let cfg =
-                Bfs2dConfig::flat(Grid2D::new(2, 2)).with_overlap(std::num::NonZeroUsize::new(k));
-            let out = bfs2d(&g, 1, &cfg);
-            assert_eq!(out.parents, baseline.parents, "k = {k}");
-            assert_eq!(out.levels, baseline.levels, "k = {k}");
-        }
-        // Overlap composes with the hybrid pool and the diagonal
-        // distribution.
-        let diag = bfs2d(
-            &g,
-            1,
-            &Bfs2dConfig {
-                distribution: VectorDistribution::Diagonal,
-                ..Bfs2dConfig::hybrid(Grid2D::new(2, 2), 2)
-            }
-            .with_overlap(std::num::NonZeroUsize::new(2)),
-        );
-        assert_eq!(diag.levels, baseline.levels);
-    }
-
-    #[test]
-    fn overlapped_fold_traces_exchange_pairs() {
-        let g = rmat_graph(8, 23);
-        let k = 2u32;
-        let run = bfs2d_run(
-            &g,
-            0,
-            &Bfs2dConfig::flat(Grid2D::new(2, 2))
-                .with_overlap(std::num::NonZeroUsize::new(k as usize))
-                .with_trace(true),
-        );
-        for t in &run.per_rank_trace {
-            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-            assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-            assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! 1. **Oracle equivalence**: under `--direction hybrid` the 1D driver's
 //!    parent tree validates and its level array is bit-identical to the
-//!    serial BFS, across codec × sieve × flat/hybrid threading × overlap.
+//!    serial BFS, across codec × sieve × flat/hybrid threading.
 //!    Property-tested over random graphs, layouts, and sources.
 //! 2. **Determinism**: forced bottom-up claims each vertex's parent as
 //!    the first frontier hit in CSR adjacency order — a rank-count
@@ -23,7 +23,6 @@ use dmbfs_runtime::{
     DirectionMode, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger, InjectedFault,
 };
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -56,7 +55,6 @@ proptest! {
         hybrid_threads in any::<bool>(),
         codec in codec_strategy(),
         sieve in any::<bool>(),
-        overlap_k in prop::sample::select(vec![0usize, 2, 4]),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
@@ -68,7 +66,6 @@ proptest! {
         }
         .with_codec(codec)
         .with_sieve(sieve)
-        .with_overlap(NonZeroUsize::new(overlap_k))
         .with_direction(DirectionMode::Hybrid);
         let run = bfs1d_run(&g, source, &cfg);
         validate_bfs(&g, source, &run.output.parents, &run.output.levels).unwrap();

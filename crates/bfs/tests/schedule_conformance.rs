@@ -15,7 +15,6 @@ use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_graph::gen::grid2d;
 use dmbfs_graph::{CsrGraph, Grid2D};
 use dmbfs_runtime::DirectionMode;
-use std::num::NonZeroUsize;
 use xtask::schedule::matches;
 use xtask::{analyze_workspace, workspace_root, Analysis};
 
@@ -67,16 +66,6 @@ fn one_d_hybrid_direction_conforms_to_the_static_schedule() {
     let a = analysis();
     let cfg = Bfs1dConfig::flat(4)
         .with_direction(DirectionMode::Hybrid)
-        .with_schedule_capture(true);
-    let run = bfs1d_run(&graph(), 0, &cfg);
-    assert_conforms(&a, "bfs1d_run", &run.per_rank_schedule);
-}
-
-#[test]
-fn one_d_overlapped_exchange_conforms_to_the_static_schedule() {
-    let a = analysis();
-    let cfg = Bfs1dConfig::flat(4)
-        .with_overlap(NonZeroUsize::new(2))
         .with_schedule_capture(true);
     let run = bfs1d_run(&graph(), 0, &cfg);
     assert_conforms(&a, "bfs1d_run", &run.per_rank_schedule);

@@ -3,7 +3,7 @@
 //!
 //! 1. **Bit identity**: loaned and copied payloads produce identical
 //!    parent trees and level arrays on both distributed drivers, across
-//!    codec × sieve × flat/hybrid × overlap × direction. Property-tested
+//!    codec × sieve × flat/hybrid × direction. Property-tested
 //!    with the loan threshold forced to 1 byte (every nonempty buffer
 //!    loans) against the same run with the loan path disabled.
 //! 2. **Seal enforcement**: a buffer that sealed into a loan at deposit
@@ -28,7 +28,6 @@ use dmbfs_graph::{CsrGraph, EdgeList, Grid2D};
 use dmbfs_runtime::DirectionMode;
 use proptest::prelude::*;
 use std::hint::black_box;
-use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -92,7 +91,6 @@ proptest! {
         hybrid in any::<bool>(),
         codec in codec_strategy(),
         sieve in any::<bool>(),
-        overlap in prop::sample::select(vec![0usize, 2]),
         direction in direction_strategy(),
         seed in any::<u64>(),
     ) {
@@ -104,7 +102,6 @@ proptest! {
         }
         .with_codec(codec)
         .with_sieve(sieve)
-        .with_overlap(NonZeroUsize::new(overlap))
         .with_direction(direction);
 
         let copied = {
@@ -127,7 +124,6 @@ proptest! {
         hybrid in any::<bool>(),
         codec in codec_strategy(),
         sieve in any::<bool>(),
-        overlap in prop::sample::select(vec![0usize, 2]),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
@@ -138,8 +134,7 @@ proptest! {
             Bfs2dConfig::flat(grid)
         }
         .with_codec(codec)
-        .with_sieve(sieve)
-        .with_overlap(NonZeroUsize::new(overlap));
+        .with_sieve(sieve);
 
         let copied = {
             let _g = force_threshold(None);

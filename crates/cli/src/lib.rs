@@ -12,7 +12,7 @@
 //!   weighted instances.
 //! * `convert` — binary ↔ Matrix Market.
 //! * `chaos` — sweep the deterministic fault grid (algorithm × fault kind
-//!   × rank × level × overlap × direction) under the collective verifier
+//!   × rank × level × direction) under the collective verifier
 //!   and ledger whether each injected fault was detected with a typed
 //!   root-cause report — see `docs/fault-injection.md`.
 //!
@@ -45,7 +45,6 @@ use dmbfs_trace::RankTrace;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// A parsed command line: subcommand plus `--key value` options.
@@ -171,11 +170,11 @@ USAGE:
   dmbfs bfs FILE [--algorithm serial|shared|direction|1d|2d] [--ranks P]
                  [--threads T] [--source V] [--validate true]
                  [--codec off|raw|varint|bitmap|adaptive] [--sieve true|false]
-                 [--overlap N] [--direction topdown|bottomup|hybrid (1d only)]
+                 [--direction topdown|bottomup|hybrid (1d only)]
                  [--verify true|false] [--fault SPEC[;SPEC]]
                  [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs teps FILE [--algorithm ...] [--ranks P] [--threads T] [--sources N]
-                  [--codec ...] [--sieve ...] [--overlap N] [--direction ...]
+                  [--codec ...] [--sieve ...] [--direction ...]
                   [--verify true|false] [--fault SPEC[;SPEC]]
                   [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs components FILE [--ranks P] [--threads T] [--verify true|false]
@@ -192,7 +191,7 @@ USAGE:
   dmbfs convert FILE --to bin|mm --out FILE
   dmbfs chaos [--scale S] [--edge-factor E] [--ranks P] [--seed X]
               [--algorithms 1d,2d] [--kinds panic,failstop,delay,corrupt]
-              [--inject-ranks R,R] [--levels L,L] [--overlaps 0,2]
+              [--inject-ranks R,R] [--levels L,L]
               [--directions topdown,hybrid (hybrid: 1d only)]
               [--timeout-secs T] [--delay-ms MS] [--out FILE]
   dmbfs help
@@ -296,10 +295,6 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
 struct WireOpts {
     codec: Codec,
     sieve: bool,
-    /// `--overlap N`: split each frontier exchange into N chunks on a
-    /// double-buffered nonblocking pipeline. `None` keeps the blocking
-    /// exchange. Ignored under `--codec off` (no wire path to overlap).
-    overlap: Option<NonZeroUsize>,
     /// `--direction topdown|bottomup|hybrid`: the traversal-direction
     /// policy of the 1D driver (the only distributed driver with a
     /// bottom-up step). See docs/direction-optimizing.md.
@@ -317,22 +312,9 @@ impl WireOpts {
             .parse::<DirectionMode>()
             .map_err(err)?;
         let sieve = args.opt_bool("sieve", true)?;
-        let overlap = match args.options.get("overlap") {
-            Some(v) => {
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| err("--overlap expects a positive chunk count"))?;
-                Some(
-                    NonZeroUsize::new(n)
-                        .ok_or_else(|| err("--overlap expects a positive chunk count"))?,
-                )
-            }
-            None => None,
-        };
         Ok(Self {
             codec,
             sieve,
-            overlap,
             direction,
         })
     }
@@ -353,12 +335,21 @@ struct ObserverOpts {
 /// rank is named by the verify watchdog; corruption by the end-to-end wire
 /// checksums that exist only under verification), so those kinds insist on
 /// `--verify true` instead of silently hanging to the 300 s barrier
-/// watchdog or flipping bits nothing checks. See docs/fault-injection.md.
-fn fault_plan_from_args(args: &Args, verify: bool) -> Result<FaultPlan, CliError> {
+/// watchdog or flipping bits nothing checks. Every fault must target a
+/// rank of the run's `world` (for 2D, the grid size): a fault on a rank
+/// that does not exist would never fire. See docs/fault-injection.md.
+fn fault_plan_from_args(args: &Args, verify: bool, world: usize) -> Result<FaultPlan, CliError> {
     let plan = match args.options.get("fault") {
         Some(spec) => spec.parse::<FaultPlan>().map_err(err)?,
         None => FaultPlan::from_env().map_err(err)?,
     };
+    if let Some(spec) = plan.specs().find(|s| s.rank >= world) {
+        return Err(err(format!(
+            "fault spec `{spec}` targets rank {}, but the run has {world} rank(s); \
+             the fault would never fire",
+            spec.rank
+        )));
+    }
     let needs_verify = plan
         .specs()
         .any(|s| matches!(s.kind, FaultKind::FailStop | FaultKind::CorruptWire { .. }));
@@ -370,6 +361,16 @@ fn fault_plan_from_args(args: &Args, verify: bool) -> Result<FaultPlan, CliError
         ));
     }
     Ok(plan)
+}
+
+/// The number of world ranks a distributed `algorithm` runs on for
+/// `--ranks ranks`: the 2D drivers use the closest-square grid.
+fn world_size(algorithm: &str, ranks: usize) -> usize {
+    if algorithm == "2d" && ranks > 0 {
+        Grid2D::closest_square(ranks).size()
+    } else {
+        ranks
+    }
 }
 
 /// Renders a distributed run's panic payload for the user: the typed
@@ -587,7 +588,6 @@ fn run_algorithm_traced(
             }
             .with_codec(wire.codec)
             .with_sieve(wire.sieve)
-            .with_overlap(wire.overlap)
             .with_direction(wire.direction)
             .with_trace(observe.trace)
             .with_verify(observe.verify)
@@ -609,7 +609,6 @@ fn run_algorithm_traced(
             }
             .with_codec(wire.codec)
             .with_sieve(wire.sieve)
-            .with_overlap(wire.overlap)
             .with_trace(observe.trace)
             .with_verify(observe.verify)
             .with_faults(faults);
@@ -649,7 +648,7 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
         trace: trace.is_some(),
         verify: args.opt_bool("verify", false)?,
     };
-    let faults = fault_plan_from_args(args, observe.verify)?;
+    let faults = fault_plan_from_args(args, observe.verify, world_size(&algorithm, ranks))?;
     let t0 = Instant::now();
     let (out, _, traces, stats) = run_reporting_faults(&faults, || {
         run_algorithm_traced(
@@ -705,7 +704,7 @@ fn cmd_teps(args: &Args) -> Result<String, CliError> {
         trace: trace.is_some(),
         verify: args.opt_bool("verify", false)?,
     };
-    let faults = fault_plan_from_args(args, observe.verify)?;
+    let faults = fault_plan_from_args(args, observe.verify, world_size(&algorithm, ranks))?;
     // Each sampled root runs in its own World with its own stats and trace
     // sink: `benchmark_bfs_detailed` keeps the per-search instrumentation
     // namespaced by source, and the distributed runners' internal
@@ -751,7 +750,7 @@ fn cmd_components(args: &Args) -> Result<String, CliError> {
     let threads = args.opt_threads()?;
     let trace = TraceOpts::from_args(args)?;
     let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
+    let faults = fault_plan_from_args(args, verify, ranks)?;
     let cfg = RunConfig::flat(ranks)
         .with_threads(threads)
         .with_trace(trace.is_some())
@@ -802,7 +801,7 @@ fn cmd_sssp(args: &Args) -> Result<String, CliError> {
         }
     };
     let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
+    let faults = fault_plan_from_args(args, verify, ranks)?;
     let cfg = RunConfig::flat(ranks)
         .with_threads(threads)
         .with_trace(trace.is_some())
@@ -868,7 +867,7 @@ fn cmd_pagerank(args: &Args) -> Result<String, CliError> {
         .parse()
         .map_err(|_| err("--damping expects a float"))?;
     let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
+    let faults = fault_plan_from_args(args, verify, world_size("2d", ranks))?;
     let cfg = PageRankConfig {
         damping,
         ..PageRankConfig::new(Grid2D::closest_square(ranks))
@@ -955,9 +954,6 @@ struct ChaosCell {
     kind: String,
     rank: usize,
     level: i64,
-    /// Exchange pipeline depth the cell ran under: 0 = blocking
-    /// `alltoallv_wire`, k ≥ 1 = `--overlap k` nonblocking pipeline.
-    overlap: usize,
     /// Traversal-direction policy the cell ran under. Hybrid cells route
     /// the fault through the bottom-up path's `allgatherv_wire` bitmap
     /// broadcast instead of the top-down alltoallv exchange.
@@ -1085,8 +1081,7 @@ fn classify_payload(payload: &(dyn std::any::Any + Send), injected: usize) -> Ce
 }
 
 /// `dmbfs chaos`: sweep the deterministic fault grid — algorithm × fault
-/// kind × injected rank × BFS level × exchange-pipeline depth × traversal
-/// direction — over one
+/// kind × injected rank × BFS level × traversal direction — over one
 /// internally generated R-MAT instance, always under the collective
 /// verifier with a short watchdog, and ledger how every cell was detected.
 /// See docs/fault-injection.md.
@@ -1156,30 +1151,14 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     }
     let mut levels = Vec::new();
     for t in split_list(&args.opt_str("levels", "1,2")) {
-        let l: i64 = t
+        // Levels are 0-based, as in the fault grammar.
+        let l: u32 = t
             .parse()
-            .map_err(|_| err(format!("--levels expects level numbers, got '{t}'")))?;
-        levels.push(l);
+            .map_err(|_| err(format!("--levels expects 0-based level numbers, got '{t}'")))?;
+        levels.push(i64::from(l));
     }
     if inject_ranks.is_empty() || levels.is_empty() {
         return Err(err("--inject-ranks and --levels must be non-empty"));
-    }
-    // Pipeline-depth slices: 0 = blocking exchange, k = `--overlap k`.
-    // The default sweeps both so every fault kind is exercised at the
-    // nonblocking start site as well as the blocking collective.
-    let mut overlaps = Vec::new();
-    for t in split_list(&args.opt_str("overlaps", "0,2")) {
-        let k: usize = t.parse().map_err(|_| {
-            err(format!(
-                "--overlaps expects chunk counts (0 = blocking), got '{t}'"
-            ))
-        })?;
-        if !overlaps.contains(&k) {
-            overlaps.push(k);
-        }
-    }
-    if overlaps.is_empty() {
-        return Err(err("--overlaps must name at least one pipeline depth"));
     }
     // Direction slices: top-down exercises the alltoallv exchange, hybrid
     // additionally routes levels through the bitmap-broadcast/bottom-up
@@ -1214,12 +1193,8 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| err("generated graph has no usable source"))?;
 
     let timeout = Duration::from_secs(timeout_secs);
-    let total = algorithms.len()
-        * kinds.len()
-        * inject_ranks.len()
-        * levels.len()
-        * overlaps.len()
-        * directions.len();
+    let total =
+        algorithms.len() * kinds.len() * inject_ranks.len() * levels.len() * directions.len();
     let mut report = String::new();
     writeln!(
         report,
@@ -1228,13 +1203,12 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     .unwrap();
     writeln!(
         report,
-        "grid: {} algorithm(s) x {} kind(s) x {} rank(s) x {} level(s) x {} overlap(s) \
+        "grid: {} algorithm(s) x {} kind(s) x {} rank(s) x {} level(s) \
          x {} direction(s) = {total} cells, verify watchdog {timeout_secs} s",
         algorithms.len(),
         kinds.len(),
         inject_ranks.len(),
         levels.len(),
-        overlaps.len(),
         directions.len(),
     )
     .unwrap();
@@ -1250,88 +1224,80 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         for kind_s in &kinds {
             for &inj_rank in &inject_ranks {
                 for &level in &levels {
-                    for &ov in &overlaps {
-                        for &dir in &directions {
-                            cell_idx += 1;
-                            let kind = match kind_s.as_str() {
-                                "panic" => FaultKind::Panic,
-                                "failstop" => FaultKind::FailStop,
-                                "delay" => FaultKind::Delay { millis: delay_ms },
-                                _ => FaultKind::CorruptWire {
-                                    seed: seed ^ cell_idx.wrapping_mul(0x9E37_79B9),
-                                },
-                            };
-                            let plan = FaultPlan::none().with_fault(FaultSpec {
-                                rank: inj_rank,
-                                trigger: FaultTrigger::AtLevel(level),
+                    for &dir in &directions {
+                        cell_idx += 1;
+                        let kind = match kind_s.as_str() {
+                            "panic" => FaultKind::Panic,
+                            "failstop" => FaultKind::FailStop,
+                            "delay" => FaultKind::Delay { millis: delay_ms },
+                            _ => FaultKind::CorruptWire {
+                                seed: seed ^ cell_idx.wrapping_mul(0x9E37_79B9),
+                            },
+                        };
+                        let plan = FaultPlan::none().with_fault(FaultSpec {
+                            rank: inj_rank,
+                            trigger: FaultTrigger::AtLevel(level),
+                            collective: None,
+                            kind,
+                        });
+                        let t0 = Instant::now();
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            if alg == "1d" {
+                                let cfg = Bfs1dConfig::flat(ranks)
+                                    .with_direction(dir)
+                                    .with_verify(true)
+                                    .with_verify_timeout(timeout)
+                                    .with_faults(plan);
+                                bfs1d_run(&g, source, &cfg).output
+                            } else {
+                                let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
+                                    .with_verify(true)
+                                    .with_verify_timeout(timeout)
+                                    .with_faults(plan);
+                                bfs2d_run(&g, source, &cfg).output
+                            }
+                        }));
+                        let millis = t0.elapsed().as_secs_f64() * 1e3;
+                        let outcome = match &result {
+                            Ok(_) => CellOutcome {
+                                detection: "completed",
+                                typed: false,
+                                named_rank: false,
                                 collective: None,
-                                kind,
-                            });
-                            let overlap = NonZeroUsize::new(ov);
-                            let t0 = Instant::now();
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if alg == "1d" {
-                                        let cfg = Bfs1dConfig::flat(ranks)
-                                            .with_overlap(overlap)
-                                            .with_direction(dir)
-                                            .with_verify(true)
-                                            .with_verify_timeout(timeout)
-                                            .with_faults(plan);
-                                        bfs1d_run(&g, source, &cfg).output
-                                    } else {
-                                        let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
-                                            .with_overlap(overlap)
-                                            .with_verify(true)
-                                            .with_verify_timeout(timeout)
-                                            .with_faults(plan);
-                                        bfs2d_run(&g, source, &cfg).output
-                                    }
-                                }));
-                            let millis = t0.elapsed().as_secs_f64() * 1e3;
-                            let outcome = match &result {
-                                Ok(_) => CellOutcome {
-                                    detection: "completed",
-                                    typed: false,
-                                    named_rank: false,
-                                    collective: None,
-                                    detail: "run finished; the scheduled fault never fired"
-                                        .to_string(),
-                                },
-                                Err(payload) => classify_payload(payload.as_ref(), inj_rank),
-                            };
-                            writeln!(
-                                report,
-                                "  {alg:>2} {kind_s:<8} r{inj_rank} level{level} ov{ov} \
-                                 {:<8} -> {:<18} [{}{}] {millis:.0} ms",
-                                dir.name(),
-                                outcome.detection,
-                                if outcome.named_rank {
-                                    "rank named"
-                                } else {
-                                    "rank NOT named"
-                                },
-                                match &outcome.collective {
-                                    Some(c) => format!(", {c}"),
-                                    None => String::new(),
-                                },
-                            )
-                            .unwrap();
-                            cells.push(ChaosCell {
-                                algorithm: alg.clone(),
-                                kind: kind_s.clone(),
-                                rank: inj_rank,
-                                level,
-                                overlap: ov,
-                                direction: dir.name().to_string(),
-                                detection: outcome.detection.to_string(),
-                                typed: outcome.typed,
-                                named_rank: outcome.named_rank,
-                                collective: outcome.collective,
-                                millis,
-                                detail: outcome.detail,
-                            });
-                        }
+                                detail: "run finished; the scheduled fault never fired".to_string(),
+                            },
+                            Err(payload) => classify_payload(payload.as_ref(), inj_rank),
+                        };
+                        writeln!(
+                            report,
+                            "  {alg:>2} {kind_s:<8} r{inj_rank} level{level} \
+                             {:<8} -> {:<18} [{}{}] {millis:.0} ms",
+                            dir.name(),
+                            outcome.detection,
+                            if outcome.named_rank {
+                                "rank named"
+                            } else {
+                                "rank NOT named"
+                            },
+                            match &outcome.collective {
+                                Some(c) => format!(", {c}"),
+                                None => String::new(),
+                            },
+                        )
+                        .unwrap();
+                        cells.push(ChaosCell {
+                            algorithm: alg.clone(),
+                            kind: kind_s.clone(),
+                            rank: inj_rank,
+                            level,
+                            direction: dir.name().to_string(),
+                            detection: outcome.detection.to_string(),
+                            typed: outcome.typed,
+                            named_rank: outcome.named_rank,
+                            collective: outcome.collective,
+                            millis,
+                            detail: outcome.detail,
+                        });
                     }
                 }
             }
@@ -1699,51 +1665,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_overlap_flag_runs_and_rejects_bad_values() {
-        let dir = tmpdir();
-        let file = dir.join("overlap.bin");
-        let file_s = file.to_str().unwrap();
-        run(&args(&[
-            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
-        ]))
-        .unwrap();
-        for alg in ["1d", "2d"] {
-            for k in ["1", "2", "4"] {
-                let msg = run(&args(&[
-                    "bfs",
-                    file_s,
-                    "--algorithm",
-                    alg,
-                    "--ranks",
-                    "4",
-                    "--overlap",
-                    k,
-                ]))
-                .unwrap();
-                assert!(msg.contains("validated"), "{alg} overlap {k}: {msg}");
-            }
-        }
-        // Overlapped runs still verify cleanly (split start/wait pair).
-        let msg = run(&args(&[
-            "bfs",
-            file_s,
-            "--algorithm",
-            "1d",
-            "--ranks",
-            "4",
-            "--overlap",
-            "2",
-            "--verify",
-            "true",
-        ]))
-        .unwrap();
-        assert!(msg.contains("validated"), "{msg}");
-        assert!(run(&args(&["bfs", file_s, "--overlap", "0"])).is_err());
-        assert!(run(&args(&["bfs", file_s, "--overlap", "lots"])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bfs_verify_flag_runs_and_rejects_bad_values() {
         let dir = tmpdir();
         let file = dir.join("verify.bin");
@@ -2031,6 +1952,51 @@ mod tests {
     }
 
     #[test]
+    fn fault_specs_outside_the_world_are_rejected() {
+        let dir = tmpdir();
+        let file = dir.join("world.bin");
+        let file_s = file.to_str().unwrap();
+        run(&args(&[
+            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
+        ]))
+        .unwrap();
+
+        // A rank at or above the world size is a typed error, not a run
+        // whose fault never fires — for every subcommand that takes
+        // --fault. The 2D world is the grid: 2 ranks make a 1 x 2 grid.
+        let out_of_world = |extra: &[&str], spec: &str| {
+            let mut argv = extra.to_vec();
+            argv.extend([file_s, "--ranks", "2", "--fault", spec]);
+            run(&args(&argv)).unwrap_err().0
+        };
+        for cmd in [
+            &["bfs", "--algorithm", "1d"][..],
+            &["bfs", "--algorithm", "2d"],
+            &["teps", "--algorithm", "1d", "--sources", "1"],
+            &["components"],
+            &["sssp"],
+            &["pagerank"],
+        ] {
+            for spec in ["panic@r9:op1", "panic@r2:level0"] {
+                let e = out_of_world(cmd, spec);
+                assert!(
+                    e.contains("but the run has 2 rank(s)"),
+                    "{cmd:?} {spec}: {e}"
+                );
+            }
+            // The last rank of the world is still a valid target.
+            let e = out_of_world(cmd, "panic@r1:op1");
+            assert!(e.contains("injected panic at rank 1"), "{cmd:?}: {e}");
+        }
+
+        // Levels are 0-based: a negative level is a parse error.
+        let e = out_of_world(&["bfs", "--algorithm", "1d"], "panic@r0:level-1");
+        assert!(e.contains("0-based"), "{e}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn chaos_sweep_detects_every_injected_fault() {
         let dir = tmpdir();
         let out = dir.join("chaos.json");
@@ -2046,7 +2012,7 @@ mod tests {
             "--kinds",
             "panic,corrupt",
             "--inject-ranks",
-            "1",
+            "1,2",
             "--levels",
             "1",
             "--timeout-secs",
@@ -2055,7 +2021,7 @@ mod tests {
             out_s,
         ]))
         .unwrap();
-        // 2 kinds × 2 pipeline depths (the default --overlaps 0,2 slice).
+        // 2 kinds × 2 injected ranks.
         assert!(msg.contains("4/4 typed"), "{msg}");
         assert!(msg.contains("0 untyped watchdog(s)"), "{msg}");
 
@@ -2066,12 +2032,12 @@ mod tests {
         assert!(v["untyped_watchdogs"] == 0i64, "{v:?}");
         assert!(v["typed_rate"] == 1.0, "{v:?}");
         assert!(v["cells"][0]["detection"] == "injected-panic", "{v:?}");
-        assert!(v["cells"][0]["overlap"] == 0i64, "{v:?}");
+        assert!(v["cells"][0]["rank"] == 1i64, "{v:?}");
         assert!(v["cells"][1]["detection"] == "injected-panic", "{v:?}");
-        assert!(v["cells"][1]["overlap"] == 2i64, "{v:?}");
+        assert!(v["cells"][1]["rank"] == 2i64, "{v:?}");
         assert!(v["cells"][2]["detection"] == "verify-corruption", "{v:?}");
         assert!(v["cells"][3]["detection"] == "verify-corruption", "{v:?}");
-        assert!(v["cells"][3]["overlap"] == 2i64, "{v:?}");
+        assert!(v["cells"][3]["rank"] == 2i64, "{v:?}");
 
         // Flag validation.
         assert!(run(&args(&["chaos", "--kinds", "meteor"])).is_err());
@@ -2123,8 +2089,6 @@ mod tests {
             "4",
             "--direction",
             "hybrid",
-            "--overlap",
-            "2",
             "--verify",
             "true",
             "--trace",
@@ -2200,8 +2164,6 @@ mod tests {
             "2",
             "--levels",
             "1",
-            "--overlaps",
-            "0",
             "--directions",
             "bottomup,hybrid",
             "--timeout-secs",

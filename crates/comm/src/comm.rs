@@ -230,8 +230,7 @@ impl Traffic {
 /// (the world communicator) and [`Comm::split`] (sub-communicators); each
 /// handle belongs to exactly one thread.
 ///
-/// All collectives (bar the [`Comm::ialltoallv_wire`] start/wait pair)
-/// are **blocking** and must be called by every rank of the communicator
+/// All collectives are **blocking** and must be called by every rank of the communicator
 /// in the same order with compatible arguments, exactly as in MPI.
 /// Payload types need `Clone + Send + Sync + 'static`.
 ///
@@ -277,11 +276,6 @@ pub struct Comm {
     /// epoch of the next collective this rank will issue on this
     /// communicator. Unused (stays 0) when verification is off.
     verify_epoch: Cell<u64>,
-    /// True between [`Comm::ialltoallv_wire`] and the matching
-    /// [`PendingExchange::wait`]. While set, no other collective may run
-    /// on this handle: one outstanding exchange per communicator is part
-    /// of the lane board's contract.
-    pending_exchange: Cell<bool>,
     /// Lane-board epoch of the next collective this rank posts on this
     /// communicator. Every collective advances it exactly once, so it
     /// advances identically on every rank.
@@ -313,7 +307,6 @@ impl Comm {
             sched_log: RefCell::new(None),
             owner: std::thread::current().id(),
             verify_epoch: Cell::new(0),
-            pending_exchange: Cell::new(false),
             epoch: Cell::new(0),
         }
     }
@@ -325,9 +318,8 @@ impl Comm {
     }
 
     /// The entry hook of every collective, applied once: the owner-thread
-    /// assert (see the threading invariant on [`Comm`]), the in-flight
-    /// assert, the fault hook, schedule capture and the verifier
-    /// rendezvous. Returns the instant the collective proper starts.
+    /// assert (see the threading invariant on [`Comm`]), the fault hook,
+    /// schedule capture and the verifier rendezvous. Returns the instant the collective proper starts.
     ///
     /// The fault hook runs **before** the verifier rendezvous, so a
     /// delayed or fail-stopped rank is late *to* the rendezvous and the
@@ -342,11 +334,6 @@ impl Comm {
             "Comm collectives must be called from the rank's main thread \
              (the thread that created the handle); pool worker threads \
              must not communicate — see the threading invariant on Comm"
-        );
-        assert!(
-            !self.pending_exchange.get() || kind == CollectiveKind::IalltoallvWireWait,
-            "a nonblocking exchange is in flight on this communicator: \
-             call PendingExchange::wait() before issuing another collective"
         );
         let location = Location::caller();
         let inj = self.fault.borrow().as_ref().cloned();
@@ -545,10 +532,20 @@ impl Comm {
             .collect()
     }
 
-    /// Books one finished blocking collective: pushes its [`CommEvent`]
-    /// and emits its `Collective` trace span (send-side bytes).
+    /// Books one finished collective: pushes its [`CommEvent`] and emits
+    /// its `Collective` trace span (send-side bytes).
     fn record(&self, pattern: Pattern, t: Traffic, start: Instant) {
-        self.push_event(pattern, t, start.elapsed(), Duration::ZERO);
+        self.stats.borrow_mut().events.push(CommEvent {
+            pattern,
+            group_size: self.size(),
+            bytes_out: t.bytes_out,
+            bytes_in: t.bytes_in,
+            wire_out: t.wire_out,
+            wire_in: t.wire_in,
+            wall: start.elapsed(),
+            loaned_out: t.loaned_out,
+            copied_out: t.copied_out,
+        });
         if let Some(tr) = self.tracer.borrow().as_ref() {
             tr.lock().collective(
                 collective_tag(pattern),
@@ -557,36 +554,6 @@ impl Comm {
                 t.bytes_out,
                 t.wire_out,
                 t.loaned_out,
-            );
-        }
-    }
-
-    fn push_event(&self, pattern: Pattern, t: Traffic, wall: Duration, hidden: Duration) {
-        self.stats.borrow_mut().events.push(CommEvent {
-            pattern,
-            group_size: self.size(),
-            bytes_out: t.bytes_out,
-            bytes_in: t.bytes_in,
-            wire_out: t.wire_out,
-            wire_in: t.wire_in,
-            wall,
-            hidden,
-            loaned_out: t.loaned_out,
-            copied_out: t.copied_out,
-        });
-    }
-
-    /// Emits one half of a nonblocking exchange's trace span pair.
-    fn trace_exchange(&self, kind: SpanKind, start: Instant, bytes: u64, wire: u64, loaned: u64) {
-        if let Some(tr) = self.tracer.borrow().as_ref() {
-            tr.lock().exchange(
-                kind,
-                CollectiveTag::Alltoallv,
-                start,
-                self.size() as u64,
-                bytes,
-                wire,
-                loaned,
             );
         }
     }
@@ -1016,55 +983,6 @@ impl Comm {
         recv
     }
 
-    /// Starts a **nonblocking** wire all-to-all: deposits `bufs` (one
-    /// encoded [`WireBuf`] per destination rank) on the lane board and
-    /// returns immediately with a [`PendingExchange`]. The caller overlaps
-    /// local work — packing, sieving, encoding the next frontier chunk —
-    /// with the in-flight exchange, then calls [`PendingExchange::wait`]
-    /// to collect what the peers sent.
-    ///
-    /// Observer coverage mirrors [`Comm::alltoallv_wire`]:
-    ///
-    /// * **verifier** — the pair fingerprints as two matched collectives,
-    ///   `ialltoallv_wire` at the start site and `ialltoallv_wire_wait` at
-    ///   the wait site, so a rank that dies in between shows up in the
-    ///   watchdog dump as stuck short of `wait()`;
-    /// * **faults** — injected faults fire here at the start site (where
-    ///   the buffers leave the rank); checksum corruption planted here
-    ///   trips at the receivers' `wait()`;
-    /// * **stats** — the recorded [`CommEvent`]'s `wall` is the *exposed*
-    ///   time (inside this call plus inside `wait()`) and `hidden` is the
-    ///   in-flight window between them;
-    /// * **trace** — an `ExchangeStart` span is emitted here and an
-    ///   `ExchangeWait` span at the wait, so wait-matrix analysis can
-    ///   measure how much communication the overlap hid.
-    ///
-    /// At most one exchange may be in flight per communicator, and no
-    /// other collective may run on the handle while it is (asserted).
-    #[track_caller]
-    pub fn ialltoallv_wire(&self, bufs: Vec<WireBuf>) -> PendingExchange<'_> {
-        assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        let start = self.enter::<WireBuf>(CollectiveKind::IalltoallvWire);
-        let (lane, own, t) = self.stage_wire(CollectiveKind::IalltoallvWire, bufs);
-        let epoch = self.post(lane, self.size() - 1);
-        self.pending_exchange.set(true);
-        self.trace_exchange(
-            SpanKind::ExchangeStart,
-            start,
-            t.bytes_out,
-            t.wire_out,
-            t.loaned_out,
-        );
-        PendingExchange {
-            comm: self,
-            epoch,
-            start_call: start.elapsed(),
-            in_flight_since: Instant::now(),
-            traffic: t,
-            own,
-        }
-    }
-
     /// Wire-aware variable all-gather: like [`Comm::allgatherv`] with an
     /// encoded payload. See [`Comm::alltoallv_wire`] for the accounting.
     #[track_caller]
@@ -1148,65 +1066,6 @@ impl Comm {
     }
 }
 
-/// An in-flight nonblocking wire exchange started by
-/// [`Comm::ialltoallv_wire`]. The outbound buffers are already deposited
-/// on the lane board; call [`PendingExchange::wait`] to collect what the
-/// peers sent. Dropping the handle without waiting leaves the
-/// communicator unusable (the next collective asserts), mirroring a
-/// leaked `MPI_Request`.
-#[must_use = "a started exchange must be completed: call .wait() to collect the received buffers"]
-pub struct PendingExchange<'a> {
-    comm: &'a Comm,
-    /// Lane-board epoch of this exchange.
-    epoch: u64,
-    /// Wall time spent inside the start call — the exposed half of start,
-    /// charged to the recorded event's `wall` together with the wait call.
-    start_call: Duration,
-    /// When the start call returned: the beginning of the in-flight window
-    /// whose length `wait()` reports as overlap-hidden communication.
-    in_flight_since: Instant,
-    /// Send-side accounting booked at the start.
-    traffic: Traffic,
-    /// The sender's own bucket, held locally until the wait instead of
-    /// round-tripping through the board.
-    own: WireBuf,
-}
-
-impl PendingExchange<'_> {
-    /// Completes the exchange: collects `recv[j]` = the buffer rank `j`
-    /// addressed to this rank, blocking only until each peer has
-    /// **started** the matching exchange (deposited its buffers) — never
-    /// on the peers' own waits — and checks end-to-end wire checksums
-    /// (verifier on). Records one [`CommEvent`] whose `wall` is the
-    /// exposed time (inside the start call plus inside this call) and
-    /// whose `hidden` is the in-flight window between them, and emits the
-    /// `ExchangeWait` span.
-    #[track_caller]
-    pub fn wait(self) -> Vec<WireBuf> {
-        let comm = self.comm;
-        let entered = Instant::now();
-        let hidden = entered.duration_since(self.in_flight_since);
-        comm.enter::<WireBuf>(CollectiveKind::IalltoallvWireWait);
-        let mut t = self.traffic;
-        let recv = comm.collect_wire(self.epoch, self.own, &mut t);
-        comm.pending_exchange.set(false);
-        comm.push_event(
-            Pattern::Alltoallv,
-            t,
-            self.start_call + entered.elapsed(),
-            hidden,
-        );
-        comm.trace_exchange(
-            SpanKind::ExchangeWait,
-            entered,
-            t.bytes_in,
-            t.wire_in,
-            t.loaned_in,
-        );
-        recv
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1269,96 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_exchange_matches_blocking_results() {
-        let out = World::run(3, |comm| {
-            let bufs: Vec<WireBuf> = (0..3)
-                .map(|j| WireBuf::new(vec![comm.rank() as u8; j + 1], 16 * (j as u64 + 1)))
-                .collect();
-            let blocking = comm.alltoallv_wire(bufs.clone());
-            let overlapped = comm.ialltoallv_wire(bufs).wait();
-            assert_eq!(overlapped, blocking);
-            let stats = comm.take_stats();
-            assert_eq!(stats.num_calls(), 2, "one blocking + one overlapped event");
-            let (b, o) = (&stats.events[0], &stats.events[1]);
-            assert_eq!(b.pattern, Pattern::Alltoallv);
-            assert_eq!(o.pattern, Pattern::Alltoallv);
-            assert_eq!(b.bytes_out, o.bytes_out);
-            assert_eq!(b.bytes_in, o.bytes_in);
-            assert_eq!(b.wire_out, o.wire_out);
-            assert_eq!(b.wire_in, o.wire_in);
-            assert_eq!(
-                b.hidden,
-                Duration::ZERO,
-                "blocking collectives hide nothing"
-            );
-            overlapped
-        });
-        // Every rank received one buffer per peer with the sender's id.
-        for (rank, recv) in out.iter().enumerate() {
-            for (j, b) in recv.iter().enumerate() {
-                assert_eq!(b.bytes(), vec![j as u8; rank + 1]);
-                assert_eq!(b.logical_bytes, 16 * (rank as u64 + 1));
-            }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "sleep-based overlap-window timing")]
-    fn nonblocking_exchange_records_hidden_window() {
-        let stats = World::run(2, |comm| {
-            let bufs = vec![WireBuf::new(vec![9], 8), WireBuf::new(vec![9], 8)];
-            let pending = comm.ialltoallv_wire(bufs);
-            std::thread::sleep(Duration::from_millis(20));
-            pending.wait();
-            comm.take_stats()
-        });
-        for s in &stats {
-            assert_eq!(s.num_calls(), 1);
-            assert!(
-                s.events[0].hidden >= Duration::from_millis(10),
-                "the in-flight sleep must show up as hidden time, got {:?}",
-                s.events[0].hidden
-            );
-            assert_eq!(s.hidden_total(), s.events[0].hidden);
-        }
-    }
-
-    #[test]
-    fn nonblocking_exchange_emits_start_and_wait_spans() {
-        let epoch = Instant::now();
-        let traces = World::run(2, |comm| {
-            comm.set_tracer(TraceSink::new(comm.rank(), epoch));
-            comm.trace_enter_level(1);
-            let bufs = vec![WireBuf::new(vec![1, 2], 32), WireBuf::new(vec![3, 4], 32)];
-            let recv = comm.ialltoallv_wire(bufs).wait();
-            assert_eq!(recv.len(), 2);
-            comm.take_trace().expect("tracer was attached")
-        });
-        for t in &traces {
-            let kinds: Vec<SpanKind> = t.spans.iter().map(|s| s.kind).collect();
-            assert_eq!(
-                kinds,
-                vec![SpanKind::ExchangeStart, SpanKind::ExchangeWait],
-                "an overlapped exchange traces as a start/wait pair, not a Collective"
-            );
-            let (start, wait) = (t.spans[0], t.spans[1]);
-            assert_eq!(start.pattern, CollectiveTag::Alltoallv);
-            assert_eq!(wait.pattern, CollectiveTag::Alltoallv);
-            assert_eq!(start.level, 1);
-            assert_eq!(wait.level, 1);
-            assert_eq!(start.detail, 2, "group size");
-            assert_eq!(start.bytes, 32, "start carries outbound logical bytes");
-            assert_eq!(start.wire, 2, "start carries outbound wire bytes");
-            assert_eq!(wait.bytes, 32, "wait carries inbound logical bytes");
-            assert_eq!(wait.wire, 2, "wait carries inbound wire bytes");
-            assert!(
-                wait.start_ns >= start.end_ns,
-                "wait begins after start returns"
-            );
-        }
-    }
-
-    #[test]
     fn only_wire_collectives_split_loaned_from_copied_bytes() {
         let stats = World::run(2, |comm| {
             comm.allreduce(1u64, |a, b| a + b);
@@ -1378,26 +1147,5 @@ mod tests {
                 assert_eq!(wire.loaned_out + wire.copied_out, wire.wire_out);
             }
         }
-    }
-
-    #[test]
-    fn collectives_assert_while_an_exchange_is_in_flight() {
-        World::run(2, |comm| {
-            let bufs = vec![WireBuf::default(), WireBuf::default()];
-            let pending = comm.ialltoallv_wire(bufs);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                comm.allreduce(1u64, |a, b| a + b)
-            }))
-            .expect_err("a collective during an in-flight exchange must assert");
-            let msg = err
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| err.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(msg.contains("in flight"), "unexpected panic message: {msg}");
-            pending.wait();
-            // After wait() the handle is usable again.
-            assert_eq!(comm.allreduce(1u64, |a, b| a + b), 2);
-        });
     }
 }

@@ -15,9 +15,8 @@
 //! zero-copy.
 //!
 //! There are no barriers anywhere. A read depends only on the depositor
-//! having *posted*, never on the other readers, so a completing
-//! nonblocking exchange waits only for its peers' starts, and a barrier
-//! is just a zero-byte collective: post a token for every peer, collect
+//! having *posted*, never on the other readers, and a barrier is just a
+//! zero-byte collective: post a token for every peer, collect
 //! every peer's token.
 //!
 //! **Why this cannot deadlock.** A deposit of epoch `e` waits only for

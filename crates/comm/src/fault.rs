@@ -37,12 +37,10 @@
 //! the 0-based BFS level as published by `Comm::trace_enter_level` and
 //! fires at the first eligible collective with current level ≥ L. Corrupt
 //! faults only fire at wire collectives (`alltoallv_wire`,
-//! `ialltoallv_wire`, `allgatherv_wire`, `sendrecv_wire`) carrying a
-//! non-empty outbound payload, and stay armed until one passes; detection
-//! requires the collective-matching verifier, which checksums wire
-//! payloads end to end. For the nonblocking `ialltoallv_wire` the fault
-//! fires at the *start* site (where the buffers are deposited); the
-//! checksum trips at the receivers' `wait()`.
+//! `allgatherv_wire`, `sendrecv_wire`) carrying a non-empty outbound
+//! payload, and stay armed until one passes; detection requires the
+//! collective-matching verifier, which checksums wire payloads end to
+//! end.
 
 use crate::verify::CollectiveKind;
 use std::fmt;
@@ -194,10 +192,15 @@ impl FromStr for FaultSpec {
                     .map_err(|_| format!("fault spec `{s}`: bad op index `{n}`"))?,
             )
         } else if let Some(l) = trig_s.strip_prefix("level") {
-            FaultTrigger::AtLevel(
-                l.parse()
-                    .map_err(|_| format!("fault spec `{s}`: bad level `{l}`"))?,
-            )
+            let level: i64 = l
+                .parse()
+                .map_err(|_| format!("fault spec `{s}`: bad level `{l}`"))?;
+            if level < 0 {
+                return Err(format!(
+                    "fault spec `{s}`: level {level} is negative (levels are 0-based)"
+                ));
+            }
+            FaultTrigger::AtLevel(level)
         } else {
             return Err(format!(
                 "fault spec `{s}`: site `{trig_s}` must be `opN` or `levelL`"
@@ -220,7 +223,7 @@ impl FromStr for FaultSpec {
                 if !is_wire(c) {
                     return Err(format!(
                         "fault spec `{s}`: corrupt faults only fire at wire collectives \
-                         (alltoallv_wire|ialltoallv_wire|allgatherv_wire|sendrecv_wire), \
+                         (alltoallv_wire|allgatherv_wire|sendrecv_wire), \
                          not `{}`",
                         c.name()
                     ));
@@ -242,7 +245,6 @@ pub(crate) fn is_wire(kind: CollectiveKind) -> bool {
     matches!(
         kind,
         CollectiveKind::AlltoallvWire
-            | CollectiveKind::IalltoallvWire
             | CollectiveKind::AllgathervWire
             | CollectiveKind::SendrecvWire
     )
@@ -564,7 +566,7 @@ mod tests {
             "delay=750@r1:level2:coll=allreduce",
             "corrupt=42@r3:level1",
             "corrupt=7@r0:op5:coll=alltoallv_wire",
-            "corrupt=3@r1:level2:coll=ialltoallv_wire",
+            "corrupt=3@r1:level2:coll=allgatherv_wire",
             "panic@r0:level1;delay=100@r2:level2",
         ] {
             let plan: FaultPlan = s.parse().unwrap_or_else(|e| panic!("`{s}`: {e}"));
@@ -572,6 +574,20 @@ mod tests {
             let again: FaultPlan = plan.to_string().parse().unwrap();
             assert_eq!(again, plan);
         }
+    }
+
+    #[test]
+    fn grammar_rejects_negative_levels() {
+        for s in ["panic@r0:level-1", "delay=5@r1:level-7:coll=allreduce"] {
+            let e = s.parse::<FaultPlan>().unwrap_err();
+            assert!(e.contains("0-based"), "`{s}`: {e}");
+        }
+        // Level 0 is the first level, and a valid site.
+        let plan: FaultPlan = "panic@r0:level0".parse().unwrap();
+        assert_eq!(
+            plan.specs().next().unwrap().trigger,
+            FaultTrigger::AtLevel(0)
+        );
     }
 
     #[test]

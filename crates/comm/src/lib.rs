@@ -53,25 +53,10 @@
 //!   can be *exercised*, not just trusted. See the [`fault`] module and
 //!   `docs/fault-injection.md`.
 //!
-//! * [`Comm::ialltoallv_wire`] is the one **nonblocking** collective: it
-//!   deposits the outbound buffers and returns a [`PendingExchange`] so the
-//!   caller can overlap local work (packing/encoding the next frontier
-//!   chunk) with the in-flight exchange before collecting the results in
-//!   [`PendingExchange::wait`]. The start/wait pair stays a first-class
-//!   citizen of every observer above: the verifier fingerprints it as two
-//!   matched collectives (so the watchdog names ranks stuck in `wait()`),
-//!   faults fire at the start site with checksums tripping at the wait,
-//!   stats split exposed vs overlap-hidden wall time, and the trace emits
-//!   `ExchangeStart`/`ExchangeWait` spans.
-//!
 //! What this deliberately does **not** model in-process: network latency and
-//! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events).
-//! Overlap is modeled only at the granularity the BFS pipeline needs — one
-//! in-flight exchange per communicator, whose `wait()` blocks only until
-//! each peer has *started* the matching exchange (posted its buffers on
-//! the lane board), never on the peers' own waits — so pipelined chunks
-//! genuinely absorb encode-time skew instead of adding synchronization
-//! points. There is no asynchronous progress thread.
+//! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events),
+//! and nonblocking collectives: every collective, as in the paper's
+//! bulk-synchronous algorithms, blocks until its own results are in.
 
 #![warn(missing_docs)]
 
@@ -83,9 +68,7 @@ mod stats;
 mod verify;
 mod world;
 
-pub use comm::{
-    loan_threshold, set_loan_threshold, Comm, PendingExchange, WireBuf, DEFAULT_LOAN_THRESHOLD,
-};
+pub use comm::{loan_threshold, set_loan_threshold, Comm, WireBuf, DEFAULT_LOAN_THRESHOLD};
 pub use fault::{
     fault_disabled_hook_cost, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
     InjectedFault,

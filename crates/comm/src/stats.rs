@@ -132,15 +132,8 @@ pub struct CommEvent {
     pub wire_out: u64,
     /// Bytes this rank actually received off the wire.
     pub wire_in: u64,
-    /// Wall time spent inside the call, including barrier waits. For a
-    /// nonblocking exchange this is the *exposed* time only: the start and
-    /// wait calls themselves, excluding the in-flight window.
+    /// Wall time spent inside the call, including barrier waits.
     pub wall: Duration,
-    /// For a nonblocking exchange: the in-flight window between the start
-    /// call returning and the wait call being entered — communication time
-    /// the overlap pipeline hid under local compute. Zero for blocking
-    /// collectives.
-    pub hidden: Duration,
     /// Of `wire_out`, the bytes that travelled as a zero-copy loan
     /// (receivers decoded straight from this rank's sealed buffer). Only
     /// the wire collectives loan; zero for plain collectives.
@@ -177,17 +170,9 @@ impl CommStats {
         self.events.iter().map(|e| e.bytes_in).sum()
     }
 
-    /// Total wall time inside collectives (exposed time only — see
-    /// [`CommEvent::wall`]).
+    /// Total wall time inside collectives.
     pub fn wall(&self) -> Duration {
         self.events.iter().map(|e| e.wall).sum()
-    }
-
-    /// Total overlap-hidden communication time across all events: the
-    /// in-flight windows of nonblocking exchanges (zero unless the drivers
-    /// ran with overlap enabled).
-    pub fn hidden_total(&self) -> Duration {
-        self.events.iter().map(|e| e.hidden).sum()
     }
 
     /// Wall time inside collectives matching `pattern`.
@@ -279,7 +264,6 @@ mod tests {
             wire_out: out,
             wire_in: inn,
             wall: Duration::from_micros(micros),
-            hidden: Duration::ZERO,
             loaned_out: 0,
             copied_out: 0,
         }
@@ -374,18 +358,6 @@ mod tests {
             .expect("stats with recorded wire traffic must report a compression ratio");
         assert!((ratio - 258.0 / 1008.0).abs() < 1e-12);
         assert_eq!(CommStats::default().compression_ratio(), None);
-    }
-
-    #[test]
-    fn hidden_time_sums_separately_from_exposed_wall() {
-        let mut overlapped = ev(Pattern::Alltoallv, 100, 100, 5);
-        overlapped.hidden = Duration::from_micros(40);
-        let stats = CommStats {
-            events: vec![overlapped, ev(Pattern::Allreduce, 8, 8, 2)],
-            ..Default::default()
-        };
-        assert_eq!(stats.wall(), Duration::from_micros(7));
-        assert_eq!(stats.hidden_total(), Duration::from_micros(40));
     }
 
     #[test]

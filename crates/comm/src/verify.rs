@@ -41,13 +41,6 @@ pub enum CollectiveKind {
     Alltoallv,
     /// [`crate::Comm::alltoallv_wire`]
     AlltoallvWire,
-    /// [`crate::Comm::ialltoallv_wire`] — the start half of the
-    /// nonblocking exchange.
-    IalltoallvWire,
-    /// [`crate::PendingExchange::wait`] — the wait half of the nonblocking
-    /// exchange. A distinct kind so the watchdog dump names ranks stuck in
-    /// `wait()` as such, not as a generic start.
-    IalltoallvWireWait,
     /// [`crate::Comm::allgatherv`] (also reached via `allgather`)
     Allgatherv,
     /// [`crate::Comm::allgatherv_wire`]
@@ -80,12 +73,10 @@ impl std::str::FromStr for CollectiveKind {
     /// Inverse of [`CollectiveKind::name`] — used by the fault-plan grammar
     /// (`coll=<name>`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        const ALL: [CollectiveKind; 17] = [
+        const ALL: [CollectiveKind; 15] = [
             CollectiveKind::Barrier,
             CollectiveKind::Alltoallv,
             CollectiveKind::AlltoallvWire,
-            CollectiveKind::IalltoallvWire,
-            CollectiveKind::IalltoallvWireWait,
             CollectiveKind::Allgatherv,
             CollectiveKind::AllgathervWire,
             CollectiveKind::Allreduce,
@@ -112,8 +103,6 @@ impl CollectiveKind {
             CollectiveKind::Barrier => "barrier",
             CollectiveKind::Alltoallv => "alltoallv",
             CollectiveKind::AlltoallvWire => "alltoallv_wire",
-            CollectiveKind::IalltoallvWire => "ialltoallv_wire",
-            CollectiveKind::IalltoallvWireWait => "ialltoallv_wire_wait",
             CollectiveKind::Allgatherv => "allgatherv",
             CollectiveKind::AllgathervWire => "allgatherv_wire",
             CollectiveKind::Allreduce => "allreduce",

@@ -56,7 +56,7 @@ struct RankPc {
 #[derive(Clone, Copy, Debug)]
 enum Readers {
     /// Every peer reads every lane; the own bucket stays local
-    /// (`ialltoallv_wire`, `barrier`).
+    /// (`alltoallv_wire`, `barrier`).
     All,
     /// Every rank deposits for rank 0, which reads all lanes (`gather`).
     GatherTo0,

@@ -11,13 +11,7 @@
 //! [`dmbfs_trace::from_jsonl`]):
 //!
 //! * a **wait matrix** `wait_ns[rank][level]` — summed [`SpanKind::Collective`]
-//!   span durations plus the exposed halves of nonblocking exchanges
-//!   (`ExchangeStart` durations and each `ExchangeWait`'s late-sender
-//!   share, clipped at the last peer's deposit), the heatmap cells of
-//!   Fig. 4;
-//! * a **hidden matrix** `hidden_ns[rank][level]` — in-flight exchange time
-//!   between a start span ending and its wait span beginning, i.e. the
-//!   communication the `--overlap` pipeline moved behind compute;
+//!   span durations, the heatmap cells of Fig. 4;
 //! * a **compute matrix** `compute_ns[rank][level]` — the rank's `Level` span
 //!   minus its collective time at that level, i.e. time doing local work;
 //! * per-level and whole-run **imbalance factors** (max over mean across
@@ -38,23 +32,7 @@ pub struct ImbalanceReport {
     pub levels: usize,
     /// `wait_ns[rank][level]`: nanoseconds inside collectives — the Fig. 4
     /// heatmap cell. Includes barrier waiting, so it *is* the imbalance.
-    /// For overlapped runs this counts the *exposed* time only: the
-    /// `ExchangeStart` span durations plus each `ExchangeWait`'s
-    /// *late-sender* share — the wait clipped at the instant the last
-    /// rank's matching `ExchangeStart` ended, i.e. the moment every
-    /// peer's data was deposited (Scalasca's late-sender wait-state).
-    /// Time a waiter spends runnable-but-descheduled after the data is
-    /// ready is CPU queueing, not communication — on hosts where rank
-    /// threads outnumber cores it would otherwise swamp the signal — and
-    /// falls into [`ImbalanceReport::compute_ns`]. The in-flight window
-    /// between a start and its wait is [`ImbalanceReport::hidden_ns`].
     pub wait_ns: Vec<Vec<u64>>,
-    /// `hidden_ns[rank][level]`: nanoseconds of in-flight nonblocking
-    /// exchange time overlapped with local compute — the gap between the
-    /// k-th `ExchangeStart` span ending and the k-th `ExchangeWait` span
-    /// beginning at that (rank, level). Zero everywhere for runs without
-    /// `--overlap`. This is the communication the pipeline *hid*.
-    pub hidden_ns: Vec<Vec<u64>>,
     /// `level_ns[rank][level]`: duration of the rank's whole level span.
     pub level_ns: Vec<Vec<u64>>,
     /// `compute_ns[rank][level]`: level time minus collective time
@@ -72,22 +50,15 @@ pub struct ImbalanceReport {
     pub critical_wait_ns: u64,
     /// Σ over levels of the per-level max `compute_ns` — the compute share.
     pub critical_compute_ns: u64,
-    /// Total collective time across all ranks and levels (exposed only,
-    /// see [`ImbalanceReport::wait_ns`]).
+    /// Total collective time across all ranks and levels.
     pub total_wait_ns: u64,
-    /// The alltoallv share of [`ImbalanceReport::total_wait_ns`]: blocking
-    /// `Alltoallv` collective spans plus the exposed halves of nonblocking
-    /// exchanges. This isolates the frontier-exchange comm wall from the
-    /// per-level allreduce/allgather baseline, which is what the overlap
-    /// pipeline can and cannot touch respectively.
+    /// The alltoallv share of [`ImbalanceReport::total_wait_ns`]: the
+    /// `Alltoallv` collective spans. This isolates the frontier-exchange
+    /// comm wall from the per-level allreduce/allgather baseline.
     pub total_exchange_exposed_ns: u64,
-    /// Total overlap-hidden exchange time across all ranks and levels.
-    pub total_hidden_ns: u64,
     /// Wire bytes that crossed the exchange as zero-copy loans, summed over
     /// the outbound sides of wire-collective spans (`Collective` with an
-    /// alltoallv/allgatherv/point-to-point pattern, plus `ExchangeStart`;
-    /// `ExchangeWait` counts the same bytes inbound and is skipped to avoid
-    /// double-counting). Together with
+    /// alltoallv/allgatherv/point-to-point pattern). Together with
     /// [`ImbalanceReport::total_copied_wire_bytes`] this attributes the
     /// receiver-side memcpy wall the loan path removed — see
     /// `docs/zero-copy.md`.
@@ -99,10 +70,9 @@ pub struct ImbalanceReport {
     /// Total compute time across all ranks and levels.
     pub total_compute_ns: u64,
     /// Per-level traversal direction (`"topdown"` / `"bottomup"`), read
-    /// from the hybrid driver's per-level `Direction` spans (detail 0 =
+    /// from the 1D driver's per-level `Direction` spans (detail 0 =
     /// top-down, 1 = bottom-up). `None` for levels without a direction
-    /// span — traces from the plain drivers predate the tag, and their
-    /// levels are implicitly top-down. Lets the heatmap attribute skew to
+    /// span — the 2D driver records none, and its levels are top-down. Lets the heatmap attribute skew to
     /// the direction that produced it: bottom-up levels wait in the
     /// bitmap allgather, top-down levels in the alltoallv exchange.
     pub level_directions: Vec<Option<String>>,
@@ -148,44 +118,11 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
 
     let mut wait_ns = vec![vec![0u64; levels]; ranks];
     let mut level_ns = vec![vec![0u64; levels]; ranks];
-    let mut hidden_ns = vec![vec![0u64; levels]; ranks];
     let mut total_exchange_exposed_ns = 0u64;
     let mut total_loaned_wire_bytes = 0u64;
     let mut total_copied_wire_bytes = 0u64;
 
-    // ready_ns[level][k]: the instant the *last* rank finished its k-th
-    // ExchangeStart at that level — when chunk k's data was fully
-    // deposited and a waiter's k-th wait stops being communication. (In
-    // the 2D driver the fold exchanges run per processor row; the trace
-    // does not record group membership, so the max is taken over all
-    // ranks — a conservative over-estimate of readiness that can only
-    // inflate, never hide, exposed time.)
-    let mut ready_ns: Vec<Vec<u64>> = vec![Vec::new(); levels];
-    for t in traces {
-        let mut starts: Vec<Vec<u64>> = vec![Vec::new(); levels];
-        for s in &t.spans {
-            if s.level >= 0 && s.kind == SpanKind::ExchangeStart {
-                starts[s.level as usize].push(s.end_ns);
-            }
-        }
-        for (l, mut ends) in starts.into_iter().enumerate() {
-            ends.sort_unstable();
-            if ready_ns[l].len() < ends.len() {
-                ready_ns[l].resize(ends.len(), 0);
-            }
-            for (k, end) in ends.into_iter().enumerate() {
-                ready_ns[l][k] = ready_ns[l][k].max(end);
-            }
-        }
-    }
-
     for (r, t) in traces.iter().enumerate() {
-        // The k-th ExchangeStart at a (rank, level) pairs with the k-th
-        // ExchangeWait there: the driver's double-buffered pipeline keeps
-        // at most one exchange in flight, so starts and waits interleave
-        // strictly (start₀ wait₀ start₁ wait₁ …) in recording order.
-        let mut starts: Vec<Vec<u64>> = vec![Vec::new(); levels];
-        let mut waits: Vec<Vec<(u64, u64)>> = vec![Vec::new(); levels];
         for s in &t.spans {
             if s.level < 0 {
                 continue;
@@ -207,36 +144,8 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
                         total_copied_wire_bytes += s.wire.saturating_sub(s.loaned);
                     }
                 }
-                // The start half is always exposed; the wait half is
-                // clipped to its late-sender share below.
-                SpanKind::ExchangeStart => {
-                    wait_ns[r][l] += s.dur_ns();
-                    total_exchange_exposed_ns += s.dur_ns();
-                    total_loaned_wire_bytes += s.loaned;
-                    total_copied_wire_bytes += s.wire.saturating_sub(s.loaned);
-                    starts[l].push(s.end_ns);
-                }
-                SpanKind::ExchangeWait => {
-                    waits[l].push((s.start_ns, s.end_ns));
-                }
                 SpanKind::Level => level_ns[r][l] += s.dur_ns(),
                 _ => {}
-            }
-        }
-        for l in 0..levels {
-            starts[l].sort_unstable();
-            waits[l].sort_unstable();
-            for (k, &(wait_begin, wait_end)) in waits[l].iter().enumerate() {
-                // Exposed share of the k-th wait: until the last matching
-                // deposit landed (the waiter's own start is in the max, so
-                // a ready instant always exists; full duration otherwise).
-                let ready = ready_ns[l].get(k).copied().unwrap_or(wait_end);
-                let exposed = ready.clamp(wait_begin, wait_end) - wait_begin;
-                wait_ns[r][l] += exposed;
-                total_exchange_exposed_ns += exposed;
-                if let Some(start_end) = starts[l].get(k) {
-                    hidden_ns[r][l] += wait_begin.saturating_sub(*start_end);
-                }
             }
         }
     }
@@ -275,12 +184,10 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
         levels,
         total_wait_ns: wait_ns.iter().flatten().sum(),
         total_exchange_exposed_ns,
-        total_hidden_ns: hidden_ns.iter().flatten().sum(),
         total_loaned_wire_bytes,
         total_copied_wire_bytes,
         total_compute_ns: compute_ns.iter().flatten().sum(),
         wait_ns,
-        hidden_ns,
         level_ns,
         compute_ns,
         level_imbalance,
@@ -369,51 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_exchanges_split_exposed_from_hidden() {
-        // Two ranks, one level, a two-chunk pipeline each. Rank 1 is the
-        // late sender for chunk 0: its start₀ ends at 52, so rank 0's
-        // wait₀ [50,55] is exposed only for [50,52] — the rest of the span
-        // is post-ready (CPU queueing) and stays out of the wait matrix.
-        // Chunk 1 deposits (ending 60) all land before either wait₁
-        // begins, so both wait₁ spans are fully hidden-by-readiness.
-        let traces = vec![
-            rank(
-                0,
-                vec![
-                    span(SpanKind::ExchangeStart, 0, 10, 20),
-                    span(SpanKind::ExchangeWait, 0, 50, 55),
-                    span(SpanKind::ExchangeStart, 0, 55, 60),
-                    span(SpanKind::ExchangeWait, 0, 90, 100),
-                    span(SpanKind::Collective, 0, 100, 110),
-                    span(SpanKind::Level, 0, 0, 120),
-                ],
-            ),
-            rank(
-                1,
-                vec![
-                    span(SpanKind::ExchangeStart, 0, 10, 52),
-                    span(SpanKind::ExchangeWait, 0, 52, 58),
-                    span(SpanKind::ExchangeStart, 0, 58, 60),
-                    span(SpanKind::ExchangeWait, 0, 60, 95),
-                    span(SpanKind::Level, 0, 0, 120),
-                ],
-            ),
-        ];
-        let rep = analyze(&traces);
-        // Rank 0: starts 10+5, wait₀ late-sender 2, wait₁ 0, collective 10.
-        // Rank 1: starts 42+2, both waits begin at/after readiness → 0.
-        assert_eq!(rep.wait_ns, vec![vec![27], vec![44]]);
-        // Exchange share: everything above except nothing — the lone
-        // Collective span is Alltoallv-patterned too, so 27 + 44.
-        assert_eq!(rep.total_exchange_exposed_ns, 71);
-        // Hidden stays the start→wait in-flight gap, per rank.
-        assert_eq!(rep.hidden_ns, vec![vec![60], vec![0]]);
-        assert_eq!(rep.total_hidden_ns, 60);
-        // Everything not exposed comm is charged to the compute cell.
-        assert_eq!(rep.compute_ns, vec![vec![93], vec![76]]);
-    }
-
-    #[test]
     fn loaned_and_copied_wire_bytes_attribute_outbound_sides_only() {
         let mut coll = span(SpanKind::Collective, 0, 10, 20); // Alltoallv pattern
         coll.wire = 1000;
@@ -425,42 +287,13 @@ mod tests {
         let mut reduce = span(SpanKind::Collective, 0, 45, 50);
         reduce.pattern = CollectiveTag::Allreduce;
         reduce.wire = 64; // plain collective: never loan-attributed
-        let mut start = span(SpanKind::ExchangeStart, 0, 50, 60);
-        start.pattern = CollectiveTag::Alltoallv;
-        start.wire = 50;
-        start.loaned = 0;
-        let mut wait = span(SpanKind::ExchangeWait, 0, 60, 70);
-        wait.pattern = CollectiveTag::Alltoallv;
-        wait.wire = 50; // inbound side of the same bytes: skipped
-        wait.loaned = 50;
         let traces = vec![rank(
             0,
-            vec![
-                coll,
-                gather,
-                reduce,
-                start,
-                wait,
-                span(SpanKind::Level, 0, 0, 80),
-            ],
+            vec![coll, gather, reduce, span(SpanKind::Level, 0, 0, 80)],
         )];
         let rep = analyze(&traces);
         assert_eq!(rep.total_loaned_wire_bytes, 600 + 100);
-        assert_eq!(rep.total_copied_wire_bytes, 400 + 50);
-    }
-
-    #[test]
-    fn blocking_traces_have_zero_hidden_time() {
-        let traces = vec![rank(
-            0,
-            vec![
-                span(SpanKind::Collective, 0, 5, 25),
-                span(SpanKind::Level, 0, 0, 40),
-            ],
-        )];
-        let rep = analyze(&traces);
-        assert_eq!(rep.hidden_ns, vec![vec![0]]);
-        assert_eq!(rep.total_hidden_ns, 0);
+        assert_eq!(rep.total_copied_wire_bytes, 400);
     }
 
     #[test]

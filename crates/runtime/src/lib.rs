@@ -32,7 +32,6 @@ use dmbfs_comm::{Comm, CommStats, VerifyConfig, World};
 use dmbfs_trace::{RankTrace, SpanKind, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -196,14 +195,6 @@ pub struct RunConfig {
     /// [`RunConfig::verify`]; the chaos harness uses short timeouts so a
     /// fail-stopped rank is reported in seconds, not minutes.
     pub verify_timeout: Option<Duration>,
-    /// Comm/compute overlap: `Some(k)` splits each level's frontier
-    /// exchange into `k` chunks moved through a double-buffered pipeline on
-    /// the nonblocking `ialltoallv_wire` — while chunk `i` is in flight,
-    /// the rank packs and encodes chunk `i + 1`. `None` (the default) keeps
-    /// the single blocking exchange. Parent trees are bit-identical either
-    /// way; only meaningful with a codec (ignored under [`Codec::Off`],
-    /// which has no wire buffers to pipeline).
-    pub overlap: Option<NonZeroUsize>,
     /// Per-level traversal direction policy (see [`DirectionMode`]). Only
     /// the BFS drivers with a bottom-up step honor it; other drivers
     /// require the [`DirectionMode::TopDown`] default.
@@ -228,7 +219,6 @@ impl RunConfig {
             verify: false,
             faults: FaultPlan::none(),
             verify_timeout: None,
-            overlap: None,
             direction: DirectionMode::TopDown,
             schedule_capture: false,
         }
@@ -291,13 +281,6 @@ impl RunConfig {
     /// [`RunConfig::verify_timeout`]).
     pub fn with_verify_timeout(mut self, timeout: Duration) -> Self {
         self.verify_timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the comm/compute overlap chunk count (see
-    /// [`RunConfig::overlap`]); `None` disables the pipeline.
-    pub fn with_overlap(mut self, overlap: Option<NonZeroUsize>) -> Self {
-        self.overlap = overlap;
         self
     }
 
@@ -708,7 +691,6 @@ mod tests {
                 verify: false,
                 faults: FaultPlan::none(),
                 verify_timeout: None,
-                overlap: None,
                 direction: DirectionMode::TopDown,
                 schedule_capture: false,
             }
@@ -718,13 +700,6 @@ mod tests {
                 .with_direction(DirectionMode::Hybrid)
                 .direction,
             DirectionMode::Hybrid
-        );
-        assert_eq!(
-            RunConfig::flat(2)
-                .with_overlap(NonZeroUsize::new(4))
-                .overlap
-                .map(NonZeroUsize::get),
-            Some(4)
         );
         assert_eq!(
             RunConfig::hybrid(8, 4)

@@ -62,19 +62,11 @@ pub enum SpanKind {
     Mask,
     /// One collective call on a communicator (emitted by `dmbfs-comm`).
     Collective,
-    /// Start half of a nonblocking exchange (`ialltoallv_wire`): the time
-    /// spent depositing outbound buffers. The matching wait half is
-    /// [`SpanKind::ExchangeWait`]; the gap between the two is comm the
-    /// overlap pipeline hid under compute.
-    ExchangeStart,
-    /// Wait half of a nonblocking exchange: the exposed time blocked in
-    /// `PendingExchange::wait()` collecting peers' buffers.
-    ExchangeWait,
     /// One batch handed to the per-rank work-stealing pool.
     TaskBatch,
-    /// Direction-optimizing BFS: the per-level direction decision, emitted
-    /// once per level by the hybrid driver. `detail` is the
-    /// `LevelDirection` tag (0 = top-down, 1 = bottom-up).
+    /// The 1D per-level direction decision, emitted once per level
+    /// (pinned top-down or bottom-up, or chosen by the αβ switch).
+    /// `detail` is the `LevelDirection` tag (0 = top-down, 1 = bottom-up).
     Direction,
     /// Direction-optimizing BFS: encode the local frontier slice as a
     /// bitmap and allgather it into the global frontier bitmap.
@@ -102,8 +94,6 @@ impl SpanKind {
             SpanKind::FoldPhase => "fold",
             SpanKind::Mask => "mask",
             SpanKind::Collective => "collective",
-            SpanKind::ExchangeStart => "exchange_start",
-            SpanKind::ExchangeWait => "exchange_wait",
             SpanKind::TaskBatch => "task_batch",
             SpanKind::Direction => "direction",
             SpanKind::BitmapBroadcast => "bitmap_broadcast",
@@ -115,7 +105,7 @@ impl SpanKind {
     pub fn category(self) -> &'static str {
         match self {
             SpanKind::Search | SpanKind::Level | SpanKind::Direction => "bfs",
-            SpanKind::Collective | SpanKind::ExchangeStart | SpanKind::ExchangeWait => "comm",
+            SpanKind::Collective => "comm",
             SpanKind::TaskBatch => "pool",
             _ => "phase",
         }
@@ -350,38 +340,6 @@ impl TraceSink {
         }
     }
 
-    /// Close one half of a nonblocking exchange ([`SpanKind::ExchangeStart`]
-    /// or [`SpanKind::ExchangeWait`]) covering `start..now`, carrying the
-    /// pattern and logical/wire/loaned byte counts like a collective span.
-    /// No-op when disabled.
-    #[allow(clippy::too_many_arguments)] // the list mirrors SpanRecord's fields one-to-one
-    pub fn exchange(
-        &mut self,
-        kind: SpanKind,
-        pattern: CollectiveTag,
-        start: Instant,
-        group_size: u64,
-        bytes: u64,
-        wire: u64,
-        loaned: u64,
-    ) {
-        if self.active.is_some() {
-            let start_ns = self.ns_of(start);
-            let end_ns = self.now_ns();
-            self.push_record(SpanRecord {
-                kind,
-                pattern,
-                start_ns,
-                end_ns,
-                level: NO_LEVEL,
-                detail: group_size,
-                bytes,
-                wire,
-                loaned,
-            });
-        }
-    }
-
     /// Insert a record, stamping it with the current level. The ring
     /// overwrites oldest-first once full.
     fn push_record(&mut self, mut rec: SpanRecord) {
@@ -518,44 +476,6 @@ mod tests {
         assert_eq!(s.pattern, CollectiveTag::Alltoallv);
         assert_eq!(s.start_ns, 0, "pre-epoch instants clamp to 0");
         assert_eq!((s.detail, s.bytes, s.wire, s.loaned), (16, 1000, 250, 200));
-    }
-
-    #[test]
-    fn exchange_spans_carry_kind_pattern_and_bytes() {
-        let mut sink = TraceSink::new(2, Instant::now());
-        sink.set_level(4);
-        let t0 = Instant::now();
-        sink.exchange(
-            SpanKind::ExchangeStart,
-            CollectiveTag::Alltoallv,
-            t0,
-            8,
-            640,
-            80,
-            64,
-        );
-        sink.exchange(
-            SpanKind::ExchangeWait,
-            CollectiveTag::Alltoallv,
-            t0,
-            8,
-            0,
-            0,
-            0,
-        );
-        let t = sink.drain();
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].kind, SpanKind::ExchangeStart);
-        assert_eq!(t.spans[1].kind, SpanKind::ExchangeWait);
-        for s in &t.spans {
-            assert_eq!(s.pattern, CollectiveTag::Alltoallv);
-            assert_eq!(s.level, 4);
-            assert_eq!(s.detail, 8);
-        }
-        assert_eq!(
-            (t.spans[0].bytes, t.spans[0].wire, t.spans[0].loaned),
-            (640, 80, 64)
-        );
     }
 
     #[test]

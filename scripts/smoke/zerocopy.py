@@ -30,7 +30,7 @@ for s in spans:
     assert "loaned" in s and s["loaned"] <= s["wire"], s
 span_loaned = sum(
     s["loaned"] for s in spans
-    if s["kind"] in ("Collective", "ExchangeStart")
+    if s["kind"] == "Collective"
 )
 assert span_loaned > 0, "no span carried loaned bytes"
 print(f"report: {loaned} B loaned / {copied} B copied; "

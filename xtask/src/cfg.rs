@@ -137,14 +137,12 @@ pub enum Stmt {
 }
 
 /// Method names treated as collective primitives, with the receiver
-/// heuristics of the lint rules: `wait` only on a pending/exchange-like
-/// receiver, `split`/`gather` only on a comm-like receiver.
+/// heuristics of the lint rules: `split`/`gather` only on a comm-like
+/// receiver.
 const PRIMITIVES: &[&str] = &[
     "barrier",
     "alltoallv",
     "alltoallv_wire",
-    "ialltoallv_wire",
-    "wait",
     "allgatherv",
     "allgatherv_wire",
     "allgather",
@@ -236,19 +234,11 @@ fn rank_named(name: &str) -> bool {
 }
 
 /// Receiver plausibility for the ambiguous primitive names, mirroring
-/// the lint rules: `wait` needs a pending/exchange-like receiver,
-/// `split`/`gather` a comm-like one (or a call-result receiver).
+/// the lint rules: `split`/`gather` need a comm-like receiver (or a
+/// call-result receiver).
 fn primitive_receiver_ok(toks: &[Tok], dot: usize, name: &str) -> bool {
     let recv = dot.checked_sub(1).map(|k| &toks[k].kind);
     match name {
-        "wait" => match recv {
-            Some(TokKind::Ident(s)) => {
-                let l = s.to_ascii_lowercase();
-                l.contains("pending") || l.contains("exchange")
-            }
-            Some(TokKind::Punct(')')) => true,
-            _ => false,
-        },
         "split" | "gather" => match recv {
             Some(TokKind::Ident(s)) => s.to_ascii_lowercase().contains("comm"),
             Some(TokKind::Punct(')')) => true,
@@ -1429,16 +1419,16 @@ mod tests {
     #[test]
     fn collective_ops_are_extracted_in_order() {
         let src = r#"
-            fn level(comm: &Comm, bufs: Vec<WireBuf>) {
-                let pending = comm.ialltoallv_wire(bufs);
-                let recv = pending.wait();
-                comm.allreduce(recv.len(), |a, b| a + b);
+            fn level(comm: &Comm, bufs: Vec<WireBuf>, mine: WireBuf) {
+                let recv = comm.alltoallv_wire(bufs);
+                let all = comm.allgatherv_wire(mine);
+                comm.allreduce(recv.len() + all.len(), |a, b| a + b);
             }
         "#;
         let defs = parse(src);
         assert_eq!(
             ops(&defs[0].body),
-            vec!["ialltoallv_wire", "wait", "allreduce"]
+            vec!["alltoallv_wire", "allgatherv_wire", "allreduce"]
         );
     }
 
@@ -1484,23 +1474,22 @@ mod tests {
     #[test]
     fn loops_nest_and_loop_carried_ops_are_kept() {
         let src = r#"
-            fn overlapped(comm: &Comm, k: usize) {
-                let mut pending = comm.ialltoallv_wire(encode(0));
+            fn levels(comm: &Comm, k: usize) {
+                let mut total = comm.allreduce(seed(), add3);
                 for c in 1..k {
-                    let wire = pending.wait();
-                    pending = comm.ialltoallv_wire(encode(c));
-                    decode(wire);
+                    let wire = comm.alltoallv_wire(encode(c));
+                    total = comm.allreduce(decode(wire), add3);
                 }
-                let wire = pending.wait();
+                comm.barrier();
             }
         "#;
         let defs = parse(src);
         let body = &defs[0].body;
         assert!(
             body.iter().any(
-                |s| matches!(s, Stmt::Let { names, .. } if names == &vec!["pending".to_string()])
+                |s| matches!(s, Stmt::Let { names, .. } if names == &vec!["total".to_string()])
             ),
-            "pending binding"
+            "total binding"
         );
         let Some(Stmt::Loop {
             body: lb, bound, ..
@@ -1509,10 +1498,10 @@ mod tests {
             panic!("expected loop");
         };
         assert_eq!(bound, &vec!["c".to_string()]);
-        assert_eq!(ops(lb), vec!["wait", "ialltoallv_wire"]);
+        assert_eq!(ops(lb), vec!["alltoallv_wire", "allreduce"]);
         assert_eq!(
             ops(body),
-            vec!["ialltoallv_wire", "wait", "ialltoallv_wire", "wait"]
+            vec!["allreduce", "alltoallv_wire", "allreduce", "barrier"]
         );
     }
 
@@ -1595,19 +1584,18 @@ mod tests {
     }
 
     #[test]
-    fn wait_needs_a_pending_receiver_and_split_a_comm_receiver() {
+    fn split_needs_a_comm_receiver() {
         let src = r#"
             fn not_ops(s: &str, barrier: &Barrier) {
                 let parts = s.split(',');
                 barrier.wait();
             }
-            fn real_ops(comm: &Comm, pending: PendingExchange) {
+            fn real_ops(comm: &Comm) {
                 let row_comm = comm.split(0, 1);
-                let bufs = pending.wait();
             }
         "#;
         let defs = parse(src);
         assert!(ops(&defs[0].body).is_empty());
-        assert_eq!(ops(&defs[1].body), vec!["split", "wait"]);
+        assert_eq!(ops(&defs[1].body), vec!["split"]);
     }
 }

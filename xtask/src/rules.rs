@@ -55,8 +55,6 @@ const COLLECTIVES: &[&str] = &[
     "barrier",
     "alltoallv",
     "alltoallv_wire",
-    "ialltoallv_wire",
-    "wait",
     "allgatherv",
     "allgatherv_wire",
     "allgather",
@@ -77,14 +75,6 @@ const COLLECTIVES: &[&str] = &[
 /// before the `.` must itself look comm-like (`comm`, `row_comm`, …) or be
 /// a call result (`)`), otherwise the match is skipped.
 const AMBIGUOUS_COLLECTIVES: &[&str] = &["split", "gather"];
-
-/// `wait` completes a nonblocking exchange (`PendingExchange::wait`) and is
-/// collective — but it is also how barriers, condvars, and child processes
-/// park, none of which rendezvous on the board. It only counts when the
-/// receiver looks like a pending exchange: an identifier mentioning
-/// `pending` or `exchange`, or a call result (`)`), which catches the
-/// chained `comm.ialltoallv_wire(bufs).wait()` form.
-const EXCHANGE_WAIT: &str = "wait";
 
 /// True when `rule` applies to the file at workspace-relative `path`
 /// (forward-slash separators).
@@ -371,19 +361,6 @@ fn collective_symmetry(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
 /// must look comm-like — an identifier mentioning `comm` or a call result
 /// `)` — so `line.split(',')` never fires.
 fn receiver_plausible(toks: &[Tok], dot: usize, name: &str) -> bool {
-    if name == EXCHANGE_WAIT {
-        if dot == 0 {
-            return false;
-        }
-        return match &toks[dot - 1].kind {
-            TokKind::Ident(s) => {
-                let l = s.to_ascii_lowercase();
-                l.contains("pending") || l.contains("exchange")
-            }
-            TokKind::Punct(')') => true,
-            _ => false,
-        };
-    }
     if !AMBIGUOUS_COLLECTIVES.contains(&name) {
         return true;
     }
@@ -401,7 +378,7 @@ fn receiver_plausible(toks: &[Tok], dot: usize, name: &str) -> bool {
 /// collective. Taint flows forward through the file: a `let` binding whose
 /// initializer contains a wire-collective call (any identifier ending in
 /// `_wire` followed by `(`) — or mentions an already-tainted binding, which
-/// carries the taint through `pending.wait()` results, `clone()`s, and
+/// carries the taint through `clone()`s and
 /// `&mut recv[i]` aliases — is wire-received, and mutating it after the
 /// board crossing is the use-after-deposit shape the loan path forbids
 /// (`WireBuf::bytes_mut` panics on a sealed payload at runtime; this rule
@@ -641,43 +618,6 @@ fn f(comm: &Comm) {
     }
 
     #[test]
-    fn split_exchange_pair_is_guarded_like_any_collective() {
-        let guarded = |body: &str| format!("fn f() {{ if comm.rank() == 0 {{ {body} }} }}");
-        // A rank-guarded start deadlocks the deposit rendezvous.
-        assert_eq!(
-            run(
-                "src/lib.rs",
-                &guarded("let pending = comm.ialltoallv_wire(bufs);")
-            )
-            .len(),
-            1
-        );
-        // …and so does a rank-guarded wait, whether on a binding or chained.
-        assert_eq!(run("src/lib.rs", &guarded("pending.wait();")).len(), 1);
-        assert_eq!(
-            run(
-                "src/lib.rs",
-                &guarded("let exchange = start(); exchange.wait();")
-            )
-            .len(),
-            1
-        );
-        assert_eq!(
-            run(
-                "src/lib.rs",
-                &guarded("let bufs = comm.ialltoallv_wire(out).wait();")
-            )
-            .len(),
-            1,
-            "chained start+wait on one line dedupes to a single finding"
-        );
-        // Non-exchange waits never fire: barriers, condvars, children.
-        assert!(run("src/lib.rs", &guarded("barrier.wait();")).is_empty());
-        assert!(run("src/lib.rs", &guarded("self.cvar.wait(g);")).is_empty());
-        assert!(run("src/lib.rs", &guarded("child.wait();")).is_empty());
-    }
-
-    #[test]
     fn allow_comment_suppresses_a_finding() {
         let src = "\
 fn f(comm: &Comm) {
@@ -705,12 +645,12 @@ fn f(comm: &Comm, bufs: Vec<WireBuf>) {
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].line, f[0].rule), (3, NO_POST_DEPOSIT_MUTATION));
 
-        // Taint flows through an alias and through a pending-exchange wait.
+        // Taint flows through an alias and a clone.
         let src = "\
 fn g(comm: &Comm, bufs: Vec<WireBuf>) {
-    let pending = comm.ialltoallv_wire(bufs);
-    let recv = pending.wait();
-    let mut theirs = recv[1].clone();
+    let recv = comm.alltoallv_wire(bufs);
+    let all = recv;
+    let mut theirs = all[1].clone();
     theirs.bytes_mut().push(0);
 }";
         let f = run("crates/bfs/src/one_d.rs", src);

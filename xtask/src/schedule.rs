@@ -3,8 +3,8 @@
 //!
 //! Built on the control-flow IR of [`crate::cfg`], this pass computes an
 //! interprocedural *collective-schedule summary* per function: the
-//! ordered symbolic sequence of collectives (kind × wire-ness ×
-//! start/wait pairing) each rank can emit, with every branch either
+//! ordered symbolic sequence of collectives (kind × wire-ness) each rank
+//! can emit, with every branch either
 //! proven schedule-equivalent across its arms or proven *decided by
 //! replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
 //! pattern of the direction-optimizing hybrid: a branch condition is safe
@@ -15,11 +15,9 @@
 //! exactly the silent-deadlock shape the MPI-style matching discipline of
 //! Buluç–Madduri (arXiv:1104.4518) forbids.
 //!
-//! Three reports come out (rule names in [`SCHEDULE_ASYMMETRY`],
-//! [`SCHEDULE_UNPAIRED_EXCHANGE`], [`SCHEDULE_RESET_PLACEMENT`]):
-//! asymmetric schedules, unpaired `ialltoallv_wire` start/wait pairs
-//! (loop-carried rotation included), and a machine-readable schedule per
-//! driver entry point — every `run_ranks` rank closure, named by a
+//! Two rules ([`SCHEDULE_ASYMMETRY`], [`SCHEDULE_RESET_PLACEMENT`])
+//! report asymmetric schedules and misplaced reset points, and a
+//! machine-readable schedule comes out per driver entry point — every `run_ranks` rank closure, named by a
 //! `// schedule: entry(name)` directive or the enclosing function. The
 //! entry schedules feed the dynamic conformance test in `crates/bfs`,
 //! which diffs them against the `VerifyBoard` fingerprint sequence a real
@@ -37,9 +35,6 @@ use std::path::Path;
 /// Rule: every rank must issue the same collective sequence — a branch
 /// with schedule-different arms must be decided by replicated data.
 pub const SCHEDULE_ASYMMETRY: &str = "schedule-asymmetry";
-/// Rule: every `ialltoallv_wire` start must pair with exactly one wait,
-/// on every path, including across loop iterations.
-pub const SCHEDULE_UNPAIRED_EXCHANGE: &str = "schedule-unpaired-exchange";
 /// Rule: a `// schedule: reset` point must sit in straight-line code of
 /// its entry (not under a branch or loop) so the static capture window
 /// is well defined.
@@ -292,14 +287,12 @@ impl Analysis {
 /// Maps a source-level primitive method name to the dynamic fingerprint
 /// sequence it produces. `split` fingerprints itself and then delegates
 /// to an `allgather` (one `allgatherv` fingerprint); `allgather`
-/// delegates to `allgatherv`; `wait` is the exchange completion.
+/// delegates to `allgatherv`.
 fn fingerprints(method: &str) -> &'static [&'static str] {
     match method {
         "barrier" => &["barrier"],
         "alltoallv" => &["alltoallv"],
         "alltoallv_wire" => &["alltoallv_wire"],
-        "ialltoallv_wire" => &["ialltoallv_wire"],
-        "wait" => &["ialltoallv_wire_wait"],
         "allgatherv" => &["allgatherv"],
         "allgatherv_wire" => &["allgatherv_wire"],
         "allgather" => &["allgatherv"],
@@ -637,8 +630,7 @@ fn run_checks(a: &mut Analysis) {
     };
     // Per-function root checks: every function outside crates/comm gets
     // its summary expanded (parameters resolved by joining every call
-    // site in the workspace) and checked for divergent-branch asymmetry
-    // and unpaired exchanges.
+    // site in the workspace) and checked for divergent-branch asymmetry.
     for idx in 0..ex.a.fns.len() {
         if ex.a.file_of(idx).exempt {
             continue;
@@ -649,8 +641,6 @@ fn run_checks(a: &mut Analysis) {
         };
         let file = ex.a.file_of(idx).path.clone();
         let expanded = ex.expand(&ex.a.summaries[idx].clone(), &ctx, &file);
-        let fn_line = ex.a.fns[idx].def.line;
-        ex.check_pairing(&expanded, &file, fn_line);
         ex.check_exits(&expanded, &file, false, false);
     }
     // Entries: expand each rank closure and apply the reset window.
@@ -662,7 +652,6 @@ fn run_checks(a: &mut Analysis) {
         };
         let file = ex.a.file_of(fn_idx).path.clone();
         let expanded = ex.expand(&node, &ctx, &file);
-        ex.check_pairing(&expanded, &file, line);
         ex.check_exits(&expanded, &file, false, false);
         let schedule = ex.apply_reset(expanded, &file);
         entries.push(Entry {
@@ -998,81 +987,6 @@ impl Expander<'_> {
             Node::Loop { body, .. } => {
                 let body_ops = !op_names(body).is_empty();
                 self.check_exits(body, file, ops_after || body_ops, body_ops);
-            }
-        }
-    }
-
-    /// Start/wait pairing over the expanded tree: total balance zero,
-    /// zero per loop iteration, equal across branch arms, and never
-    /// negative (a wait with nothing in flight).
-    fn check_pairing(&mut self, node: &Node, file: &str, fn_line: u32) {
-        let (net, min) = self.pairing(node, file);
-        if net != 0 {
-            self.report(
-                file,
-                fn_line,
-                SCHEDULE_UNPAIRED_EXCHANGE,
-                format!(
-                    "{} ialltoallv_wire start{} left without a matching wait on this path",
-                    net.abs(),
-                    if net.abs() == 1 { "" } else { "s" }
-                ),
-            );
-        } else if min < 0 {
-            self.report(
-                file,
-                fn_line,
-                SCHEDULE_UNPAIRED_EXCHANGE,
-                "a wait can run with no exchange in flight on this path".to_string(),
-            );
-        }
-    }
-
-    /// Returns `(net, min_prefix)` of start(+1)/wait(−1) over the node.
-    fn pairing(&mut self, node: &Node, file: &str) -> (i64, i64) {
-        match node {
-            Node::Op("ialltoallv_wire", _) => (1, 1),
-            Node::Op("ialltoallv_wire_wait", _) => (-1, -1),
-            Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => (0, 0),
-            Node::Seq(v) => {
-                let mut net = 0i64;
-                let mut min = 0i64;
-                for n in v {
-                    let (cn, cm) = self.pairing(n, file);
-                    min = min.min(net + cm);
-                    net += cn;
-                }
-                (net, min)
-            }
-            Node::Alt { arms, line, .. } => {
-                let parts: Vec<(i64, i64)> = arms.iter().map(|n| self.pairing(n, file)).collect();
-                if parts.iter().any(|(n, _)| *n != parts[0].0) {
-                    self.report(
-                        file,
-                        *line,
-                        SCHEDULE_UNPAIRED_EXCHANGE,
-                        "branch arms leave different numbers of exchanges in flight".to_string(),
-                    );
-                }
-                let net = parts.first().map(|(n, _)| *n).unwrap_or(0);
-                let min = parts.iter().map(|(_, m)| *m).min().unwrap_or(0);
-                (net, min)
-            }
-            Node::Loop { body, line, .. } => {
-                let (bn, bm) = self.pairing(body, file);
-                if bn != 0 {
-                    self.report(
-                        file,
-                        *line,
-                        SCHEDULE_UNPAIRED_EXCHANGE,
-                        format!(
-                            "each loop iteration changes the in-flight exchange count \
-                             by {bn}; iterations must start and wait equally (the \
-                             double-buffer rotation waits for the previous start)"
-                        ),
-                    );
-                }
-                (0, bm.min(0))
             }
         }
     }
@@ -1580,26 +1494,6 @@ mod tests {
             "#,
         );
         assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
-    }
-
-    #[test]
-    fn unpaired_start_and_loop_imbalance_are_flagged() {
-        let a = analyze(
-            r#"
-            fn leak(comm: &Comm, bufs: Vec<WireBuf>) {
-                let pending = comm.ialltoallv_wire(bufs);
-            }
-            fn rotate_ok(comm: &Comm, k: usize) {
-                let mut pending = comm.ialltoallv_wire(encode(0));
-                for c in 1..k {
-                    let wire = pending.wait();
-                    pending = comm.ialltoallv_wire(encode(c));
-                }
-                let wire = pending.wait();
-            }
-            "#,
-        );
-        assert_eq!(rules_at(&a), vec![(SCHEDULE_UNPAIRED_EXCHANGE, 2)]);
     }
 
     #[test]

@@ -6,9 +6,9 @@ pub fn scribbles_on_received(comm: &Comm, bufs: Vec<WireBuf>) {
 }
 
 pub fn scribbles_through_alias(comm: &Comm, bufs: Vec<WireBuf>) {
-    let pending = comm.ialltoallv_wire(bufs);
-    let recv = pending.wait();
-    let mut theirs = recv[1].clone();
+    let recv = comm.alltoallv_wire(bufs);
+    let all = recv;
+    let mut theirs = all[1].clone();
     theirs.bytes_mut().push(0);
 }
 

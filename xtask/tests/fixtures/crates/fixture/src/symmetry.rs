@@ -14,13 +14,13 @@ pub fn lopsided(comm: &Comm, x: u64) {
     }
 }
 
-pub fn lopsided_pipeline(comm: &Comm, bufs: Vec<WireBuf>) {
-    let pending = comm.ialltoallv_wire(bufs);
+pub fn lopsided_exchange(comm: &Comm, bufs: Vec<WireBuf>) {
+    let recv = comm.alltoallv_wire(bufs);
     if comm.rank() == 0 {
-        let _ = pending.wait();
+        let _ = comm.allreduce(recv.len(), |a, b| a + b);
     }
     if comm.rank() == 1 {
-        let _ = comm.ialltoallv_wire(bufs).wait();
+        let _ = comm.alltoallv_wire(bufs);
     }
 }
 

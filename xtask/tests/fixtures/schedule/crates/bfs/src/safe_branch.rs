@@ -1,6 +1,5 @@
-//! Negative fixture: the safe patterns. A branch decided by a prior
-//! allreduce (the `[u64; 3]` hybrid idiom), and the double-buffered
-//! start/wait rotation. Zero findings expected.
+//! Negative fixture: the safe pattern. A branch decided by a prior
+//! allreduce (the `[u64; 3]` hybrid idiom). Zero findings expected.
 
 pub fn allreduce_decided(comm: &Comm, mine: u64, bufs: Vec<WireBuf>) {
     let total = comm.allreduce(mine, |a, b| a + b);
@@ -9,13 +8,4 @@ pub fn allreduce_decided(comm: &Comm, mine: u64, bufs: Vec<WireBuf>) {
     } else {
         comm.alltoallv_wire(bufs);
     }
-}
-
-pub fn rotation(comm: &Comm, k: usize) {
-    let mut pending = comm.ialltoallv_wire(encode(0));
-    for c in 1..k {
-        let wire = pending.wait();
-        pending = comm.ialltoallv_wire(encode(c));
-    }
-    let wire = pending.wait();
 }

@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::schedule::{SCHEDULE_ASYMMETRY, SCHEDULE_UNPAIRED_EXCHANGE};
+use xtask::schedule::SCHEDULE_ASYMMETRY;
 use xtask::{analyze_workspace, workspace_root};
 
 fn fixtures_root() -> PathBuf {
@@ -15,7 +15,7 @@ fn fixtures_root() -> PathBuf {
 
 /// Every seeded defect is reported with its rule name and exact
 /// file:line, and nothing else fires — in particular the safe-pattern
-/// file (allreduce-decided branch, balanced rotation) contributes zero.
+/// file (allreduce-decided branch) contributes zero.
 #[test]
 fn seeded_schedule_defects_are_reported_with_rule_and_location() {
     let analysis = analyze_workspace(&fixtures_root()).expect("fixture tree must be readable");
@@ -37,18 +37,6 @@ fn seeded_schedule_defects_are_reported_with_rule_and_location() {
             5,
             SCHEDULE_ASYMMETRY,
         ),
-        // A start with no wait on any path: reported at the function.
-        (
-            "crates/bfs/src/unpaired.rs".to_string(),
-            4,
-            SCHEDULE_UNPAIRED_EXCHANGE,
-        ),
-        // Each iteration nets +1 in-flight: reported at the loop.
-        (
-            "crates/bfs/src/unpaired.rs".to_string(),
-            9,
-            SCHEDULE_UNPAIRED_EXCHANGE,
-        ),
         // Rank-local data decides the branch; no replication proof.
         (
             "crates/bfs/src/unsafe_branch.rs".to_string(),
@@ -60,8 +48,8 @@ fn seeded_schedule_defects_are_reported_with_rule_and_location() {
 }
 
 /// The real workspace carries no schedule findings: every config-decided
-/// branch is annotated with its replication proof, and the exchange
-/// rotations balance. This is the clean-run gate CI enforces.
+/// branch is annotated with its replication proof. This is the clean-run
+/// gate CI enforces.
 #[test]
 fn real_workspace_is_schedule_clean() {
     let analysis = analyze_workspace(&workspace_root()).expect("workspace must be readable");
